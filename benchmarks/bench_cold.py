@@ -32,13 +32,12 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from repro import kernel, seeds
+from repro import seeds
 from repro.api import Project
 from repro.boundary import get_dialect
 from repro.engine import CheckRequest, run_batch
@@ -291,74 +290,6 @@ def measure_seed_artifact_speedup(units: int, repeats: int) -> dict:
     }
 
 
-def _probe_cold(dialect: str, units: int, repeats: int) -> None:
-    """Hidden subprocess mode for ``--compare-kernels``: print one
-    dialect's best cold seconds (and this process's kernel flavor) as
-    JSON on stdout, nothing else."""
-    requests = build_corpus(dialect, units)
-    cold_s = time_cold(requests, repeats)
-    print(
-        json.dumps(
-            {"cold_seconds": cold_s, "kernel": kernel.kernel_flavor()}
-        )
-    )
-
-
-def measure_compiled_speedup(units: int, repeats: int) -> dict | None:
-    """Compiled-vs-interpreted cold ratio, or None without a wheel.
-
-    Each kernel flavor needs its own process (the import hook decides at
-    startup), so both legs run this script's ``--probe`` mode in a
-    subprocess: one inheriting the environment, one with
-    ``MLFFI_PURE_PYTHON=1`` forcing the interpreted kernel.  Null when no
-    compiled kernel is installed — the field stays in the payload so the
-    trend document's shape is identical either way.
-    """
-    if not kernel.compiled_available():
-        return None
-
-    def probe(pure_python: bool) -> dict:
-        env = dict(os.environ)
-        if pure_python:
-            env[kernel.PURE_PYTHON_ENV] = "1"
-        else:
-            env.pop(kernel.PURE_PYTHON_ENV, None)
-        proc = subprocess.run(
-            [
-                sys.executable,
-                str(Path(__file__).resolve()),
-                "--probe",
-                "ocaml",
-                "--units",
-                str(units),
-                "--repeats",
-                str(repeats),
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return json.loads(proc.stdout)
-
-    compiled = probe(pure_python=False)
-    interpreted = probe(pure_python=True)
-    if compiled["kernel"] != "compiled":
-        raise RuntimeError(
-            "compiled kernel detected on disk but the probe process "
-            f"ran {compiled['kernel']!r}"
-        )
-    return {
-        "compiled_seconds": round(compiled["cold_seconds"], 4),
-        "interpreted_seconds": round(interpreted["cold_seconds"], 4),
-        "speedup": round(
-            interpreted["cold_seconds"]
-            / max(compiled["cold_seconds"], 1e-9),
-            2,
-        ),
-    }
-
-
 # -- diagnostics equivalence ----------------------------------------------------
 
 
@@ -366,11 +297,13 @@ def corpus_diagnostics(dialect: str) -> str:
     """Canonical diagnostics dump for the dialect's example corpus.
 
     One block per translation unit in scan order; no timing, no cache
-    state — only what the analysis concluded, so the dump is stable
-    across machines and byte-comparable across refactors.
+    state, and paths relative to ``examples/`` — only what the analysis
+    concluded, so the dump is stable across machines and checkouts and
+    byte-comparable across refactors.
     """
     project = Project.from_directory(CORPORA[dialect], dialect=dialect)
     report = run_batch(project.to_requests(), jobs=1, cache=None)
+    prefix = f"{EXAMPLES}{os.sep}"
     lines: list[str] = []
     for result in report.results:
         lines.append(f"== {Path(result.name).name}")
@@ -378,7 +311,7 @@ def corpus_diagnostics(dialect: str) -> str:
             lines.append(f"   engine failure: {result.failure}")
             continue
         for diag in result.diagnostics:
-            lines.append("   " + diag.render())
+            lines.append("   " + diag.render().replace(prefix, ""))
     return "\n".join(lines) + "\n"
 
 
@@ -425,18 +358,6 @@ def main(argv=None) -> int:
         help="required host-interface artifact-load speedup vs rebuild",
     )
     parser.add_argument(
-        "--compare-kernels",
-        action="store_true",
-        help="also measure the compiled-vs-interpreted cold ratio "
-        "(recorded as null when no compiled kernel is installed)",
-    )
-    parser.add_argument(
-        "--probe",
-        metavar="DIALECT",
-        default=None,
-        help=argparse.SUPPRESS,  # subprocess mode for --compare-kernels
-    )
-    parser.add_argument(
         "--record-baseline",
         action="store_true",
         help="freeze this run's per-unit times as the baseline and skip gates",
@@ -456,10 +377,6 @@ def main(argv=None) -> int:
 
     units = 30 if args.quick else args.units
     repeats = 2 if args.quick else args.repeats
-
-    if args.probe is not None:
-        _probe_cold(args.probe, units, repeats)
-        return 0
 
     baseline: dict | None = None
     if BASELINE_PATH.is_file():
@@ -538,14 +455,6 @@ def main(argv=None) -> int:
             f"rebuild {seed_artifact['rebuild_seconds'] * 1e3:.1f} ms)"
         )
 
-    # kernel-comparison: null without a compiled wheel (the local
-    # toolchain never builds one; CI's compiled-smoke job does)
-    compiled = (
-        measure_compiled_speedup(min(units, 30), repeats)
-        if args.compare_kernels
-        else None
-    )
-
     # equivalence gate: byte-identical diagnostics on the real examples
     equivalence: dict[str, bool] = {}
     for dialect in CORPORA:
@@ -602,11 +511,6 @@ def main(argv=None) -> int:
         "seed_artifact": seed_artifact,
         "seed_artifact_speedup": seed_artifact["speedup"],
         "min_seed_artifact_speedup": args.min_seed_artifact_speedup,
-        "kernel": kernel.kernel_flavor(),
-        "compiled": compiled,
-        "compiled_speedup": (
-            compiled["speedup"] if compiled is not None else None
-        ),
         "dialects": dialects,
         "gates": {
             "diagnostics_byte_identical": equivalence,

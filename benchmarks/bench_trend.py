@@ -70,8 +70,8 @@ BENCHMARKS: dict[str, dict[str, list[str]]] = {
         # uses: the trend sweeps seven other benchmarks back to back, so
         # the frozen-baseline speedup wobbles with runner load in a way
         # the full run (and the standalone gate) does not
-        "quick": ["--quick", "--min-speedup", "1.5", "--compare-kernels"],
-        "full": ["--compare-kernels"],
+        "quick": ["--quick", "--min-speedup", "1.5"],
+        "full": [],
     },
     "concurrency": {
         "script": "bench_concurrency.py",
@@ -114,9 +114,6 @@ RATIO_DIRECTIONS: dict[str, str] = {
     # host-interface artifact load vs rebuild (bench_cold's in-process
     # measurement; also gated absolutely there at 2x)
     "cold_seed_artifact_speedup": "higher",
-    # compiled-vs-interpreted kernel cold ratio: present only when a
-    # mypyc wheel is installed (CI's compiled-smoke job; never locally)
-    "cold_compiled_speedup": "higher",
 }
 
 #: hardware-conditional ratios: present-or-absent is legitimate, so
@@ -126,7 +123,6 @@ CONDITIONAL_RATIOS: frozenset[str] = frozenset(
     {
         "batch_parallel_speedup",
         "batch_parallel_overhead",
-        "cold_compiled_speedup",
     }
 )
 
@@ -228,10 +224,6 @@ def extract_ratios(payloads: dict[str, dict]) -> dict[str, float]:
             ratios["cold_seed_artifact_speedup"] = cold[
                 "seed_artifact_speedup"
             ]
-        # nullable by design: null means "no compiled kernel installed",
-        # and the key is omitted so the regression gate skips it
-        if cold.get("compiled_speedup") is not None:
-            ratios["cold_compiled_speedup"] = cold["compiled_speedup"]
     return ratios
 
 

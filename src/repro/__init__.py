@@ -18,18 +18,11 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured results.
 """
 
-from . import kernel as _kernel
-
-# Must run before the first kernel-module import below: under
-# MLFFI_PURE_PYTHON=1 the interpreted sources win even when a compiled
-# kernel wheel is installed.
-_kernel.install_pure_python_hook()
-
-from .api import Project, analyze_project, check_c_source  # noqa: E402
-from .core.checker import AnalysisReport, Checker, InitialEnv  # noqa: E402
-from .core.exprs import Options  # noqa: E402
-from .diagnostics import Category, Diagnostic, DiagnosticBag, Kind  # noqa: E402
-from .engine import (  # noqa: E402
+from .api import Project, analyze_project, check_c_source
+from .core.checker import AnalysisReport, Checker, InitialEnv
+from .core.exprs import Options
+from .diagnostics import Category, Diagnostic, DiagnosticBag, Kind
+from .engine import (
     BatchReport,
     CheckRequest,
     CheckResult,
@@ -37,7 +30,7 @@ from .engine import (  # noqa: E402
     ResultCache,
     run_batch,
 )
-from .source import SourceFile  # noqa: E402
+from .source import SourceFile
 
 __version__ = "1.2.0"
 

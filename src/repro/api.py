@@ -29,7 +29,6 @@ from .engine import (
     IncrementalReport,
     NullCache,
     ResultCache,
-    SharedResultStore,
     run_batch,
 )
 from .engine.scheduler import Cache
@@ -193,19 +192,11 @@ class Session:
         options: Optional[Options] = None,
         jobs: int = 1,
         cache_dir: Optional[str | Path] = None,
-        shared_store: Optional[str | Path] = None,
         cache: Optional[Cache] = None,
         memory_max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
     ):
         if cache is None:
-            if shared_store is not None:
-                # cross-process cold tier: N sessions/daemons pointed at
-                # the same directory share each other's warm results
-                cache = SharedResultStore(shared_store)
-            elif cache_dir is not None:
-                cache = ResultCache(cache_dir)
-            else:
-                cache = NullCache()
+            cache = ResultCache(cache_dir) if cache_dir is not None else NullCache()
         self.engine = IncrementalEngine(
             root,
             dialect=dialect,

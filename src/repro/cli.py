@@ -16,7 +16,7 @@ Usage::
     mlffi-check serve src/glue --cache-dir .mlffi-cache
     mlffi-check serve src/glue --tcp 127.0.0.1:9178 --workers 8
     mlffi-check serve src/glue --tcp 0.0.0.0:9178 --reuse-port \\
-        --shared-store /var/cache/mlffi
+        --cache-dir /var/cache/mlffi
     mlffi-check watch src/glue --interval 1
     mlffi-check rules [--dialect rust] [--format json]
     mlffi-check conformance src/glue --dialect rust --format sarif
@@ -48,8 +48,7 @@ table from the synthesized suite.  ``warmup`` precomputes the seed
 artifacts (static tables and, given a corpus root, parsed host
 interfaces) so cold workers load pickles instead of re-deriving them
 (see :mod:`repro.seeds`).  ``example`` runs the paper's Figure 2
-program as a smoke test.  ``--version`` prints the package version and
-which kernel flavor — compiled or interpreted — is serving the run.
+program as a smoke test.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from . import kernel as _kernel
 from .api import Project
 from .boundary import available_dialects, get_dialect, get_spec
 from .core.exprs import Options
@@ -74,7 +72,6 @@ from .engine import (
     IncrementalEngine,
     NullCache,
     ResultCache,
-    SharedResultStore,
     render_unit,
     stream_batch,
 )
@@ -122,9 +119,12 @@ def _add_ablation_flags(command: argparse.ArgumentParser) -> None:
 def _add_cache_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--cache-dir",
+        "--shared-store",
+        dest="cache_dir",
         default=DEFAULT_CACHE_DIR,
         metavar="DIR",
-        help=f"result cache location (default: {DEFAULT_CACHE_DIR})",
+        help="result cache location, safe for many daemon replicas and "
+        f"batch runs to share (default: {DEFAULT_CACHE_DIR})",
     )
     command.add_argument(
         "--no-cache",
@@ -138,14 +138,6 @@ def _add_cache_flags(command: argparse.ArgumentParser) -> None:
         metavar="N",
         help="LRU cap on cache entries; 0 disables the cap "
         f"(default: {DEFAULT_MAX_ENTRIES})",
-    )
-    command.add_argument(
-        "--shared-store",
-        default=None,
-        metavar="DIR",
-        help="use a cross-process shared result store at DIR as the cold "
-        "tier instead of --cache-dir; safe for many daemon replicas and "
-        "batch runs to read and write concurrently",
     )
 
 
@@ -290,10 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=(
-            f"mlffi-check {__version__} "
-            f"({_kernel.kernel_flavor()} kernel)"
-        ),
+        version=f"mlffi-check {__version__}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -457,14 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reuse-port",
         action="store_true",
         help="set SO_REUSEPORT so several daemon replicas can share one "
-        "port (pair with --shared-store for a fleet-wide warm cache)",
-    )
-    serve.add_argument(
-        "--threaded",
-        action="store_true",
-        help="use the legacy thread-per-connection TCP server instead "
-        "of the async daemon (no coalescing fan-out limit, no "
-        "backpressure)",
+        "port (pair with one --cache-dir for a fleet-wide warm cache)",
     )
 
     watch = sub.add_parser(
@@ -591,8 +573,6 @@ def _make_cache(args: argparse.Namespace):
     if args.no_cache:
         return NullCache()
     max_entries = args.cache_max_entries if args.cache_max_entries > 0 else None
-    if getattr(args, "shared_store", None):
-        return SharedResultStore(args.shared_store, max_entries=max_entries)
     return ResultCache(args.cache_dir, max_entries=max_entries)
 
 
@@ -1070,12 +1050,7 @@ def _build_engine(args: argparse.Namespace) -> Optional[IncrementalEngine]:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    from .server import (
-        AnalysisService,
-        serve_async_tcp,
-        serve_stdio,
-        serve_tcp,
-    )
+    from .server import AnalysisService, serve_async_tcp, serve_stdio
 
     engine = _build_engine(args)
     if engine is None:
@@ -1099,10 +1074,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 )
                 return 125
             try:
-                if args.threaded:
-                    return serve_tcp(
-                        service, host or "127.0.0.1", port, log=log
-                    )
                 return serve_async_tcp(
                     service,
                     host or "127.0.0.1",
@@ -1223,7 +1194,6 @@ def _run_warmup(args: argparse.Namespace) -> int:
         "seed_dir": str(seeds.seed_dir()),
         "artifacts_enabled": seeds.artifacts_enabled(),
         "registry_fingerprint": seeds.registry_fingerprint(),
-        "kernel": _kernel.kernel_flavor(),
         "static": seeds.warmup_static(),
         "hosts": None,
     }
@@ -1246,7 +1216,6 @@ def _run_warmup(args: argparse.Namespace) -> int:
     print(f"seed dir:    {report['seed_dir']}")
     print(f"artifacts:   {'on' if report['artifacts_enabled'] else 'off'}")
     print(f"registry:    {report['registry_fingerprint'][:16]}")
-    print(f"kernel:      {report['kernel']}")
     static = report["static"]
     print(
         f"static:      {static['tables']} table(s) "

@@ -32,7 +32,6 @@ from .jobs import (
     repository_fingerprint,
 )
 from .scheduler import default_jobs, run_batch
-from .store import SharedResultStore
 from .stream import StreamStats, stream_batch
 from .worker import analyze_request, run_request
 
@@ -49,7 +48,6 @@ __all__ = [
     "MemoryCache",
     "NullCache",
     "ResultCache",
-    "SharedResultStore",
     "StreamStats",
     "TieredCache",
     "analyze_request",

@@ -399,7 +399,6 @@ class IncrementalEngine:
         second pass over sources.
         """
         report = self.check(jobs=jobs)
-        started = time.perf_counter()
         with self._lock, span("link", cat="phase", units=len(self._units)):
             linker = Linker()
             for name in sorted(self._units):
@@ -410,7 +409,6 @@ class IncrementalEngine:
                 if summary:
                     linker.add_dict(summary)
             link_report = linker.report()
-            link_report.elapsed_seconds = time.perf_counter() - started
             self._last_link = {
                 **link_report.tally(),
                 "units": link_report.units,
@@ -478,9 +476,8 @@ class IncrementalEngine:
         """Per-tier hit/miss breakdown plus totals, for ``status`` and
         the ``metrics`` exposition."""
         memory = self.memory.stats()
-        # the cold tier may be the per-process ResultCache or the
-        # cross-process SharedResultStore; either way its stats ride
-        # under the stable "disk" key, with the real tier named
+        # the cold tier (disk, or null under --no-cache) reports under
+        # the stable "disk" key, with the real tier named
         cold = (
             self.cold.stats()
             if hasattr(self.cold, "stats")

@@ -35,9 +35,8 @@ from ..source import SourceFile
 #: cache eviction counts.
 #: v4: third dialect (jni) with new JNI_* kinds; ParseHints grew dialect
 #: qualifiers, changing how shared-suffix sources can parse.
-#: v5: the cross-process SharedResultStore joined the tier stack (its
-#: content-addressed layout must never replay pre-store entries) and
-#: results grew the "store" cache tier.
+#: v5: the sharded cross-process disk layout joined the tier stack (it
+#: must never replay entries from the flat layout before it).
 #: v6: results carry the per-unit InterfaceSummary the whole-program
 #: linker consumes; pre-link entries would replay without one and the
 #: link pass would silently see an empty corpus.
@@ -137,9 +136,9 @@ class CheckResult:
     probe_seconds: float = 0.0
     cache_key: str = ""
     from_cache: bool = False
-    #: which tier satisfied a hit: "memory", "disk", "store" (the
-    #: cross-process shared store), "coalesced" (an intra-batch copy of
-    #: another request's fresh run), or "" for a fresh run
+    #: which tier satisfied a hit: "memory", "disk", "coalesced" (an
+    #: intra-batch copy of another request's fresh run), or "" for a
+    #: fresh run
     cache_tier: str = ""
     #: set when the worker itself failed (parse crash, etc.); such results
     #: are reported but never cached

@@ -30,6 +30,7 @@ four rules, in deterministic symbol order:
 from __future__ import annotations
 
 import re
+import time
 from dataclasses import dataclass, field
 
 from ..diagnostics import Diagnostic, DiagnosticBag, Kind
@@ -86,6 +87,7 @@ class LinkReport:
     registrations: int = 0
     bindings: int = 0
     host_exports: int = 0
+    #: time the linker spent folding summaries in and applying the rules
     elapsed_seconds: float = 0.0
 
     def tally(self) -> dict[str, int]:
@@ -147,8 +149,11 @@ class Linker:
         #: same reason: the ``.rs`` side repeats in every unit's summary
         self._host_exports: dict[tuple[str, str, str, int, str], SymbolRow] = {}
         self._registration_rows = 0
+        #: seconds spent inside ``add`` and ``report`` so far
+        self._elapsed = 0.0
 
     def add(self, summary: InterfaceSummary) -> None:
+        started = time.perf_counter()
         self.units += 1
         unit = summary.unit
         for row in summary.exports:
@@ -165,6 +170,7 @@ class Linker:
         for row in summary.host_exports:
             dedupe = (row.symbol, row.type, row.file, row.line, row.detail)
             self._host_exports.setdefault(dedupe, row)
+        self._elapsed += time.perf_counter() - started
 
     def add_dict(self, data: dict) -> None:
         self.add(InterfaceSummary.from_dict(data))
@@ -186,6 +192,7 @@ class Linker:
         return referenced
 
     def report(self) -> LinkReport:
+        started = time.perf_counter()
         bag = DiagnosticBag()
         referenced = self._referenced_symbols()
         duplicate_registered: set[str] = set()
@@ -314,4 +321,5 @@ class Linker:
             registrations=self._registration_rows,
             bindings=len(self._bindings),
             host_exports=len(self._host_exports),
+            elapsed_seconds=self._elapsed + time.perf_counter() - started,
         )

@@ -28,9 +28,9 @@ This module centralizes all of it:
   which is exactly the per-worker spawn cost the scheduler used to pay.
 * Artifacts are versioned: every file records :data:`SEED_SCHEMA_VERSION`
   and the :func:`registry_fingerprint` of the producing process (cache
-  schema, package version, Python version, kernel flavor, registered
-  dialects).  A stale, corrupt, truncated, or foreign-revision artifact
-  is never trusted — the loader falls back to rebuild and overwrites it.
+  schema, package version, Python version, registered dialects).  A
+  stale, corrupt, truncated, or foreign-revision artifact is never
+  trusted — the loader falls back to rebuild and overwrites it.
 
 Artifacts live under ``~/.cache/mlffi/seeds`` (override with
 ``MLFFI_SEED_DIR``; disable the tier entirely with
@@ -50,8 +50,6 @@ import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Callable, Optional, TypeVar
-
-from . import kernel
 
 T = TypeVar("T")
 
@@ -94,8 +92,7 @@ def registry_fingerprint() -> str:
 
     Covers everything that can change what a seed *means*: the artifact
     schema, the engine's cache schema (analysis semantics), the package
-    version, the interpreter, the kernel flavor (compiled and interpreted
-    processes never share pickles), and the registered dialect set —
+    version, the interpreter, and the registered dialect set —
     a third-party dialect registration changes the fingerprint, so its
     artifacts can never leak into a stock deployment or vice versa.
     """
@@ -109,7 +106,6 @@ def registry_fingerprint() -> str:
             "cache_schema": CACHE_SCHEMA_VERSION,
             "version": __version__,
             "python": "%d.%d" % sys.version_info[:2],
-            "kernel": kernel.kernel_flavor(),
             "dialects": list(available_dialects()),
         },
         sort_keys=True,

@@ -3,11 +3,9 @@
 A long-running daemon around :class:`repro.engine.IncrementalEngine`:
 ASTs, dialect environments, and typed-unit results stay warm in memory,
 and clients drive re-checking over a newline-delimited JSON-RPC protocol
-(:mod:`repro.server.protocol`) on stdio or TCP.  Two TCP transports
-exist: the simple thread-per-connection server
-(:mod:`repro.server.daemon`) and the high-concurrency asyncio daemon
-(:mod:`repro.server.async_daemon`) with request coalescing
-(:mod:`repro.server.coalesce`) and load shedding.
+(:mod:`repro.server.protocol`) on stdio (:mod:`repro.server.daemon`) or
+TCP, where the asyncio daemon (:mod:`repro.server.async_daemon`) adds
+request coalescing (:mod:`repro.server.coalesce`) and load shedding.
 :mod:`repro.server.watch` is a polling file-watcher that feeds the same
 engine, and :class:`repro.api.Session` wraps the service for library
 users.
@@ -19,7 +17,7 @@ from .async_daemon import (
     serve_async_tcp,
 )
 from .coalesce import CheckCoalescer
-from .daemon import serve_stdio, serve_tcp
+from .daemon import serve_stdio
 from .protocol import (
     OVERLOADED,
     PROTOCOL_VERSION,
@@ -53,6 +51,5 @@ __all__ = [
     "result_response",
     "serve_async_tcp",
     "serve_stdio",
-    "serve_tcp",
     "splice_result",
 ]

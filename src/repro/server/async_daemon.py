@@ -1,11 +1,9 @@
 """Asyncio TCP transport: the high-concurrency face of the daemon.
 
-The threading transport (:mod:`repro.server.daemon`) spends one OS
-thread per connection, which caps it at a few hundred mostly-idle
-clients.  This transport holds every connection on one event loop and
-spends threads only on actual analysis, so fleet traffic — hundreds of
-editors and CI bots banging on one daemon — costs what the *work*
-costs, not what the connection count costs:
+This transport holds every connection on one event loop and spends
+threads only on actual analysis, so fleet traffic — hundreds of editors
+and CI bots banging on one daemon — costs what the *work* costs, not
+what the connection count costs:
 
 * **fast path inline** — coalescer memo hits and ``shutdown`` are
   answered on the event loop itself: readline, digest, dict lookup, id
@@ -28,8 +26,8 @@ costs, not what the connection count costs:
   so a shed request never strands followers.
 * **fleet mode** — ``reuse_port=True`` sets ``SO_REUSEPORT`` so N
   daemon processes can bind one port and the kernel load-balances
-  connections across them; point them at one ``--shared-store`` and
-  they share a warm cache too.
+  connections across them; point them at one ``--cache-dir`` and they
+  share a warm cache too.
 """
 
 from __future__ import annotations
@@ -229,9 +227,16 @@ async def _serve(
     daemon = _AsyncDaemon(
         service, workers=workers, max_queue=max_queue, log=log
     )
+    # reuse_address is pinned: a restarted daemon must rebind its port
+    # immediately, not wait out TIME_WAIT from its predecessor's
+    # connections (see the rebind test in tests/server/test_daemon.py)
     try:
         server = await asyncio.start_server(
-            daemon.handle_connection, host, port, reuse_port=reuse_port
+            daemon.handle_connection,
+            host,
+            port,
+            reuse_address=True,
+            reuse_port=reuse_port,
         )
     except (ValueError, OSError):
         if not reuse_port:
@@ -244,7 +249,11 @@ async def _serve(
             flush=True,
         )
         server = await asyncio.start_server(
-            daemon.handle_connection, host, port, reuse_port=False
+            daemon.handle_connection,
+            host,
+            port,
+            reuse_address=True,
+            reuse_port=False,
         )
     try:
         address = server.sockets[0].getsockname()[:2]

@@ -1,25 +1,15 @@
-"""Transports for the analysis service: stdio and TCP.
+"""The stdio transport for the analysis service.
 
-Both speak the newline-delimited protocol of
-:mod:`repro.server.protocol` and share one
-:class:`~repro.server.service.AnalysisService`, so a ``shutdown`` frame
-on any connection stops the daemon.
-
-* ``serve_stdio`` — one client on stdin/stdout; what editors and the CI
-  smoke job drive.
-* ``serve_tcp`` — a threading TCP server for a handful of concurrent
-  clients; the engine lock serializes actual analysis.  For fleet
-  traffic (hundreds of clients, backpressure, port sharing) use the
-  asyncio transport in :mod:`repro.server.async_daemon` instead —
-  ``mlffi-check serve --tcp`` defaults to it.
+``serve_stdio`` serves one client on stdin/stdout — what editors and the
+CI smoke job drive — speaking the newline-delimited protocol of
+:mod:`repro.server.protocol`.  TCP clients go to the asyncio transport
+in :mod:`repro.server.async_daemon` (``mlffi-check serve --tcp``).
 """
 
 from __future__ import annotations
 
 import json
-import socketserver
 import sys
-import threading
 import time
 from typing import IO, Optional
 
@@ -30,10 +20,10 @@ from .service import AnalysisService
 def handle_line_logged(
     service: AnalysisService, line: str, log: Optional[JsonLogger]
 ) -> Optional[str]:
-    """``service.handle_line`` plus the per-request telemetry the sync
-    transports owe: a ``--log-json`` event and a ``request`` span.
+    """``service.handle_line`` plus the per-request telemetry the stdio
+    transport owes: a ``--log-json`` event and a ``request`` span.
 
-    The sync transports have no request metadata of their own (unlike
+    The stdio transport has no request metadata of its own (unlike
     the asyncio daemon, whose dispatcher also knows the coalescing
     outcome), so the event is reconstructed from the wire frames: the
     request supplies ``id``/``method``, the response supplies
@@ -90,71 +80,4 @@ def serve_stdio(
                 break
     except (BrokenPipeError, KeyboardInterrupt):
         pass  # client hung up / operator interrupt: a clean daemon exit
-    return 0
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        service: AnalysisService = self.server.service  # type: ignore[attr-defined]
-        log = self.server.log  # type: ignore[attr-defined]
-        while True:
-            raw = self.rfile.readline()
-            if not raw:
-                return
-            response = handle_line_logged(
-                service, raw.decode("utf-8", "replace"), log
-            )
-            if response is not None:
-                self.wfile.write(response.encode("utf-8"))
-                self.wfile.flush()
-            if service.shutdown_requested.is_set():
-                # stop accepting from a helper thread: shutdown() blocks
-                # until serve_forever() returns, so it must not run here
-                threading.Thread(
-                    target=self.server.shutdown, daemon=True
-                ).start()
-                return
-
-
-class AnalysisTCPServer(socketserver.ThreadingTCPServer):
-    """TCP transport bound to one service; ``server_address`` tells the
-    caller which port an ephemeral bind (port 0) actually got."""
-
-    #: pinned: a restarted daemon must rebind its port immediately, not
-    #: wait out TIME_WAIT from its predecessor's connections — CI and
-    #: supervisor restarts depend on this (see the rebind regression
-    #: test in tests/server/test_daemon.py)
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: AnalysisService,
-        log: Optional[JsonLogger] = None,
-    ):
-        super().__init__(address, _Handler)
-        self.service = service
-        self.log = log
-
-
-def serve_tcp(
-    service: AnalysisService,
-    host: str = "127.0.0.1",
-    port: int = 9178,
-    *,
-    ready: Optional[threading.Event] = None,
-    log: Optional[JsonLogger] = None,
-) -> int:
-    """Serve until a ``shutdown`` frame arrives; returns 0."""
-    with AnalysisTCPServer((host, port), service, log) as server:
-        if ready is not None:
-            ready.set()
-        bound = server.server_address
-        print(
-            f"mlffi-check serve: listening on {bound[0]}:{bound[1]}",
-            file=sys.stderr,
-            flush=True,
-        )
-        server.serve_forever(poll_interval=0.1)
     return 0

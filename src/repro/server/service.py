@@ -58,7 +58,7 @@ import threading
 import time
 from typing import Optional
 
-from .. import kernel, seeds
+from .. import seeds
 from ..engine import IncrementalEngine
 from ..rules import REGISTRY as RULE_REGISTRY
 from ..rules import rules_pack
@@ -350,7 +350,6 @@ class AnalysisService:
             time.monotonic() - self.started_monotonic, 3
         )
         status["coalescing"] = self.coalescer.stats()
-        status["kernel"] = kernel.describe()
         status["seeds"] = seeds.seed_stats()
         return status
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,14 @@ class TestFrozenArtifacts:
     def test_goldens_are_committed_for_every_corpus(self, cold):
         for dialect in ("ocaml", "pyext", "jni"):
             assert cold.golden_path(dialect).is_file(), dialect
+
+    def test_goldens_hold_no_absolute_paths(self, cold):
+        # paths render relative to examples/, so the goldens compare
+        # equal from any checkout location
+        for dialect in ("ocaml", "pyext", "jni"):
+            text = cold.golden_path(dialect).read_text()
+            assert str(ROOT) not in text, dialect
+            assert not re.search(r"(?:^|[\s(])/[\w.-]+/", text), dialect
 
     def test_example_diagnostics_match_the_goldens(self, cold):
         # the benchmark's equivalence gate, run as a plain test so plain

@@ -1,7 +1,15 @@
 """Cache keying and storage semantics for the batch engine."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from repro.cli import main
 from repro.core.exprs import Options
 from repro.engine import (
     CheckRequest,
@@ -12,6 +20,13 @@ from repro.engine import (
     run_batch,
     run_request,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+
+
+def entry_path(root, key):
+    """Where the disk tier keeps ``key``: sharded by its first two chars."""
+    return root / "objects" / key[:2] / f"{key}.json"
 
 
 class TestCacheKey:
@@ -110,14 +125,16 @@ class TestResultCache:
 
     def test_corrupt_entry_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        (tmp_path / ("f" * 64 + ".json")).write_text("{not json")
+        path = entry_path(tmp_path, "f" * 64)
+        path.parent.mkdir(parents=True)
+        path.write_text("{not json")
         assert cache.load("f" * 64) is None
 
     def test_schema_version_mismatch_is_miss(self, tmp_path, clean_request):
         cache = ResultCache(tmp_path)
         result = run_request(clean_request)
         cache.store(result.cache_key, result)
-        path = tmp_path / f"{result.cache_key}.json"
+        path = entry_path(tmp_path, result.cache_key)
         data = json.loads(path.read_text())
         data["schema_version"] = CACHE_SCHEMA_VERSION + 1
         path.write_text(json.dumps(data))
@@ -137,6 +154,12 @@ class TestResultCache:
         assert cache.clear() == 1
         assert len(cache) == 0
 
+    def test_load_marks_the_disk_tier(self, tmp_path, clean_request):
+        cache = ResultCache(tmp_path)
+        result = run_request(clean_request)
+        cache.store(result.cache_key, result)
+        assert cache.load(result.cache_key).cache_tier == "disk"
+
     def test_null_cache_always_misses(self, clean_request):
         cache = NullCache()
         result = run_request(clean_request)
@@ -152,7 +175,7 @@ class TestCacheFailurePaths:
         cache = ResultCache(tmp_path)
         result = run_request(request)
         cache.store(result.cache_key, result)
-        return cache, result, tmp_path / f"{result.cache_key}.json"
+        return cache, result, entry_path(tmp_path, result.cache_key)
 
     def test_truncated_entry_is_miss(self, tmp_path, clean_request):
         cache, result, path = self._store_one(tmp_path, clean_request)
@@ -196,7 +219,7 @@ class TestCacheFailurePaths:
         ]
         cache = ResultCache(tmp_path)
         cold = run_batch(requests, cache=cache)
-        for path in tmp_path.glob("*.json"):
+        for path in tmp_path.glob("objects/*/*.json"):
             path.write_text("{broken")
 
         rerun = run_batch(requests, cache=cache)
@@ -215,6 +238,50 @@ class TestCacheFailurePaths:
         result = run_request(clean_request)
         cache.store(result.cache_key, result)  # must not raise
         assert cache.load(result.cache_key) is None
+
+
+class TestDiskLayout:
+    def test_objects_are_sharded_by_key_prefix(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ab" + "c" * 62
+        cache.store(key, CheckResult(name="u.c", cache_key=key))
+        assert entry_path(tmp_path, key).is_file()
+        assert (tmp_path / "index.log").read_text() == key + "\n"
+
+    def test_flat_legacy_entries_are_never_read(self, tmp_path, clean_request):
+        # the pre-shard layout kept <key>.json at the top level; keys are
+        # unchanged, so only the location keeps such entries invisible
+        result = run_request(clean_request)
+        payload = {
+            "schema_version": CACHE_SCHEMA_VERSION,
+            "result": result.to_dict(),
+        }
+        (tmp_path / f"{result.cache_key}.json").write_text(json.dumps(payload))
+        cache = ResultCache(tmp_path)
+        assert cache.load(result.cache_key) is None
+        assert len(cache) == 0
+
+    def test_scan_ignores_in_flight_temp_files(self, tmp_path):
+        """A concurrent writer's ``.tmp-*.json`` spill is invisible to
+        counting, eviction, and journal compaction: evicting it
+        mid-write would break the writer's ``os.replace``, and its stem
+        must never be compacted into ``index.log`` as a key."""
+        cache = ResultCache(tmp_path, max_entries=2)
+        for index in range(2):
+            key = f"{index:02}" + "a" * 62
+            cache.store(key, CheckResult(name="u.c", cache_key=key))
+        shard = tmp_path / "objects" / "zz"
+        shard.mkdir(parents=True)
+        temp = shard / ".tmp-abc123.json"
+        temp.write_text("{mid-write spill}")
+        assert len(cache) == 2
+        # push past the cap: the temp file has the oldest mtime, so a
+        # dotfile-matching scan would evict it first
+        for index in range(2, 5):
+            key = f"{index:02}" + "a" * 62
+            cache.store(key, CheckResult(name="u.c", cache_key=key))
+        assert temp.exists()
+        assert ".tmp-abc123" not in (tmp_path / "index.log").read_text()
 
 
 class TestBatchCaching:
@@ -258,3 +325,131 @@ class TestBatchCaching:
         assert rerun.cache_hits == 1 and rerun.cache_misses == 1
         assert rerun.results[0].from_cache is True
         assert rerun.results[1].from_cache is False
+
+
+CHILD_SCRIPT = """\
+import json, sys
+from repro.api import Project
+from repro.engine import ResultCache, run_batch
+
+root, cache_dir = sys.argv[1], sys.argv[2]
+project = Project.from_directory(root)
+report = run_batch(project.to_requests(), jobs=1, cache=ResultCache(cache_dir))
+print(json.dumps({
+    "hits": report.cache_hits,
+    "misses": report.cache_misses,
+    "tiers": sorted({r.cache_tier for r in report.results}),
+}))
+"""
+
+
+@pytest.fixture()
+def glue_tree(tmp_path):
+    root = tmp_path / "tree"
+    root.mkdir()
+    (root / "lib.ml").write_text(
+        'type t = A of int | B\nexternal get : t -> int = "ml_get"\n'
+    )
+    (root / "good.c").write_text(
+        "value ml_get(value x)\n"
+        "{\n"
+        "    if (Is_long(x)) return Val_int(0);\n"
+        "    return Field(x, 0);\n"
+        "}\n"
+    )
+    return root
+
+
+class TestCrossProcess:
+    """One cache directory shared by separate processes."""
+
+    def _run_child(self, tree, cache_dir):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD_SCRIPT, str(tree), str(cache_dir)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_child_process_sees_parent_writes(self, glue_tree, tmp_path):
+        from repro.api import Project
+
+        cache_dir = tmp_path / "cache"
+        project = Project.from_directory(glue_tree)
+        cold = run_batch(
+            project.to_requests(), jobs=1, cache=ResultCache(cache_dir)
+        )
+        assert cold.cache_misses == 1
+
+        child = self._run_child(glue_tree, cache_dir)
+        assert child == {"hits": 1, "misses": 0, "tiers": ["disk"]}
+
+    def test_parent_process_sees_child_writes(self, glue_tree, tmp_path):
+        cache_dir = tmp_path / "cache"
+        child = self._run_child(glue_tree, cache_dir)
+        assert child["misses"] == 1
+
+        from repro.api import Project
+
+        project = Project.from_directory(glue_tree)
+        warm = run_batch(
+            project.to_requests(), jobs=1, cache=ResultCache(cache_dir)
+        )
+        assert warm.cache_hits == 1
+        assert warm.results[0].cache_tier == "disk"
+
+
+class TestWiring:
+    """--cache-dir (alias --shared-store) and Session(cache_dir=...)."""
+
+    @pytest.fixture()
+    def tree(self, tmp_path):
+        root = tmp_path / "tree"
+        root.mkdir()
+        (root / "unit.c").write_text("int helper(void) { return 0; }\n")
+        return root
+
+    def test_batch_cli_flag_round_trips(self, tree, tmp_path, capsys):
+        argv = ["batch", str(tree), "--shared-store", str(tmp_path / "cache")]
+        assert main(argv + ["--format", "json"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["cache"]["hits"] == 1
+        assert data["units"][0]["cache_tier"] == "disk"
+
+    def test_cache_dir_and_shared_store_spell_the_same_tier(
+        self, glue_tree, tmp_path, capsys
+    ):
+        outputs = {}
+        for flag in ("--cache-dir", "--shared-store"):
+            cache_dir = tmp_path / flag.strip("-")
+            for run in ("cold", "warm"):
+                assert main(["batch", str(glue_tree), flag, str(cache_dir)]) == 0
+                # the footer's wall time is the only run-to-run difference
+                out = capsys.readouterr().out
+                outputs[flag, run] = re.sub(r" in \d+\.\d+s$", "", out, flags=re.M)
+            outputs[flag, "tree"] = sorted(
+                str(path.relative_to(cache_dir)) for path in cache_dir.rglob("*")
+            )
+        for part in ("cold", "warm", "tree"):
+            assert outputs["--cache-dir", part] == outputs["--shared-store", part]
+        assert "index.log" in outputs["--cache-dir", "tree"]
+
+    def test_new_session_hits_the_shared_cache_dir(self, tree, tmp_path):
+        from repro.api import Session
+
+        cache_dir = tmp_path / "cache"
+        with Session(tree, cache_dir=cache_dir) as warmup:
+            warmup.check()
+        # a brand-new session (fresh memory tier) hits the disk tier
+        with Session(tree, cache_dir=cache_dir) as session:
+            report = session.check()
+        assert [r.cache_tier for r in report.results] == ["disk"]

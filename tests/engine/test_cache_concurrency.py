@@ -75,12 +75,12 @@ class TestConcurrentSchedulers:
         assert reports[0].tally() == reports[1].tally()
         # exactly one entry per unit: concurrent stores collapsed, no
         # double-writes under distinct names
-        entries = sorted((tmp_path / "shared").glob("*.json"))
+        entries = sorted((tmp_path / "shared").glob("objects/*/*.json"))
         assert len(entries) == len(requests)
         for path in entries:
             data = json.loads(path.read_text())  # every file parses whole
             assert data["schema_version"] == CACHE_SCHEMA_VERSION
-        assert not list((tmp_path / "shared").glob(".tmp-*"))
+        assert not list((tmp_path / "shared").glob("objects/*/.tmp-*"))
 
     def test_store_race_leaves_readable_winner(self, tmp_path):
         """Many writers to one key: last write wins, file never torn."""
@@ -147,7 +147,8 @@ class TestResultCacheLRUCap:
         # age both, then touch `hot` via a load so it becomes recent
         stale = time.time() - 60
         for key in (old, hot):
-            os.utime(tmp_path / f"{key}.json", (stale, stale))
+            path = tmp_path / "objects" / key[:2] / f"{key}.json"
+            os.utime(path, (stale, stale))
         assert cache.load(hot) is not None
         cache.store(fresh, result(key=fresh))
         assert cache.load(old) is None  # evicted: least recently used

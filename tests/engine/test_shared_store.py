@@ -1,22 +1,14 @@
-"""Cross-process shared result store: layout, safety, and real sharing."""
+"""The disk result tier as a shared store: round trips and the LRU cap.
+
+``ResultCache`` is the one disk tier, and any number of processes may
+share its directory; these cases pin the store contract it inherited
+(sharded objects, schema-checked loads, failures never stored).  The
+layout and cross-process cases live in ``test_cache.py``.
+"""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import pytest
-
-from repro.cli import main
-from repro.engine import (
-    CACHE_SCHEMA_VERSION,
-    CheckResult,
-    SharedResultStore,
-    run_batch,
-)
-
-REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+from repro.engine import CACHE_SCHEMA_VERSION, CheckResult, ResultCache
 
 
 def make_result(name="unit.c", key="k" * 64):
@@ -25,34 +17,19 @@ def make_result(name="unit.c", key="k" * 64):
 
 class TestRoundTrip:
     def test_miss_on_empty_store(self, tmp_path):
-        store = SharedResultStore(tmp_path / "store")
+        store = ResultCache(tmp_path / "store")
         assert store.load("a" * 64) is None
         assert store.stats()["misses"] == 1
 
-    def test_store_then_load_marks_the_tier(self, tmp_path):
-        store = SharedResultStore(tmp_path / "store")
-        store.store("a" * 64, make_result())
-        loaded = store.load("a" * 64)
-        assert loaded is not None
-        assert loaded.from_cache is True
-        assert loaded.cache_tier == "store"
-        assert loaded.unification_steps == 7
-
-    def test_objects_are_sharded_by_key_prefix(self, tmp_path):
-        store = SharedResultStore(tmp_path / "store")
-        key = "ab" + "c" * 62
-        store.store(key, make_result(key=key))
-        assert (tmp_path / "store" / "objects" / "ab" / f"{key}.json").is_file()
-
     def test_failure_results_are_never_stored(self, tmp_path):
-        store = SharedResultStore(tmp_path / "store")
+        store = ResultCache(tmp_path / "store")
         failed = make_result()
         failed.failure = "worker exploded"
         store.store("a" * 64, failed)
         assert store.load("a" * 64) is None
 
     def test_stale_schema_version_is_a_miss(self, tmp_path):
-        store = SharedResultStore(tmp_path / "store")
+        store = ResultCache(tmp_path / "store")
         key = "a" * 64
         store.store(key, make_result())
         path = tmp_path / "store" / "objects" / key[:2] / f"{key}.json"
@@ -62,7 +39,7 @@ class TestRoundTrip:
         assert store.load(key) is None
 
     def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path):
-        store = SharedResultStore(tmp_path / "store")
+        store = ResultCache(tmp_path / "store")
         key = "a" * 64
         store.store(key, make_result())
         path = tmp_path / "store" / "objects" / key[:2] / f"{key}.json"
@@ -70,7 +47,7 @@ class TestRoundTrip:
         assert store.load(key) is None
 
     def test_clear_empties_the_store(self, tmp_path):
-        store = SharedResultStore(tmp_path / "store")
+        store = ResultCache(tmp_path / "store")
         for index in range(3):
             store.store(f"{index:02}" + "a" * 62, make_result())
         assert len(store) == 3
@@ -80,170 +57,14 @@ class TestRoundTrip:
 
 class TestEviction:
     def test_lru_cap_is_enforced(self, tmp_path):
-        store = SharedResultStore(tmp_path / "store", max_entries=2)
+        store = ResultCache(tmp_path / "store", max_entries=2)
         for index in range(4):
             store.store(f"{index:02}" + "a" * 62, make_result())
         assert len(store) <= 2
         assert store.evictions >= 2
 
     def test_uncapped_store_keeps_everything(self, tmp_path):
-        store = SharedResultStore(tmp_path / "store", max_entries=None)
+        store = ResultCache(tmp_path / "store", max_entries=None)
         for index in range(5):
             store.store(f"{index:02}" + "a" * 62, make_result())
         assert len(store) == 5
-
-    def test_scan_ignores_in_flight_temp_files(self, tmp_path):
-        """A concurrent writer's ``.tmp-*.json`` spill is invisible to
-        counting, eviction, and journal compaction: evicting it
-        mid-write would break the writer's ``os.replace``, and its stem
-        must never be compacted into ``index.log`` as a key."""
-        store = SharedResultStore(tmp_path / "store", max_entries=2)
-        for index in range(2):
-            store.store(f"{index:02}" + "a" * 62, make_result())
-        shard = tmp_path / "store" / "objects" / "zz"
-        shard.mkdir(parents=True)
-        temp = shard / ".tmp-abc123.json"
-        temp.write_text("{mid-write spill}")
-        assert len(store) == 2
-        # push past the cap: the temp file has the oldest mtime, so the
-        # old dotfile-matching scan would have evicted it first
-        for index in range(2, 5):
-            store.store(f"{index:02}" + "a" * 62, make_result())
-        assert temp.exists()
-        journal = (tmp_path / "store" / "index.log").read_text()
-        assert ".tmp-abc123" not in journal
-
-
-CHILD_SCRIPT = """\
-import json, sys
-from repro.api import Project
-from repro.engine import SharedResultStore, run_batch
-
-root, store_dir = sys.argv[1], sys.argv[2]
-project = Project.from_directory(root)
-report = run_batch(
-    project.to_requests(), jobs=1, cache=SharedResultStore(store_dir)
-)
-print(json.dumps({
-    "hits": report.cache_hits,
-    "misses": report.cache_misses,
-    "tiers": sorted({r.cache_tier for r in report.results}),
-}))
-"""
-
-
-class TestCrossProcess:
-    """The point of the store: separate worker processes share results."""
-
-    @pytest.fixture()
-    def tree(self, tmp_path):
-        root = tmp_path / "tree"
-        root.mkdir()
-        (root / "lib.ml").write_text(
-            'type t = A of int | B\nexternal get : t -> int = "ml_get"\n'
-        )
-        (root / "good.c").write_text(
-            "value ml_get(value x)\n"
-            "{\n"
-            "    if (Is_long(x)) return Val_int(0);\n"
-            "    return Field(x, 0);\n"
-            "}\n"
-        )
-        return root
-
-    def _run_child(self, tree, store_dir):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", CHILD_SCRIPT, str(tree), str(store_dir)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
-
-    def test_child_process_sees_parent_writes(self, tree, tmp_path):
-        from repro.api import Project
-
-        store_dir = tmp_path / "store"
-        project = Project.from_directory(tree)
-        cold = run_batch(
-            project.to_requests(), jobs=1, cache=SharedResultStore(store_dir)
-        )
-        assert cold.cache_misses == 1
-
-        child = self._run_child(tree, store_dir)
-        assert child == {"hits": 1, "misses": 0, "tiers": ["store"]}
-
-    def test_parent_process_sees_child_writes(self, tree, tmp_path):
-        store_dir = tmp_path / "store"
-        child = self._run_child(tree, store_dir)
-        assert child["misses"] == 1
-
-        from repro.api import Project
-
-        project = Project.from_directory(tree)
-        warm = run_batch(
-            project.to_requests(), jobs=1, cache=SharedResultStore(store_dir)
-        )
-        assert warm.cache_hits == 1
-        assert warm.results[0].cache_tier == "store"
-
-
-class TestWiring:
-    """--shared-store / Session(shared_store=...) select the store tier."""
-
-    @pytest.fixture()
-    def tree(self, tmp_path):
-        root = tmp_path / "tree"
-        root.mkdir()
-        (root / "unit.c").write_text("int helper(void) { return 0; }\n")
-        return root
-
-    def test_batch_cli_flag_round_trips(self, tree, tmp_path, capsys):
-        store_dir = str(tmp_path / "store")
-        assert (
-            main(
-                [
-                    "batch",
-                    str(tree),
-                    "--shared-store",
-                    store_dir,
-                    "--format",
-                    "json",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "batch",
-                    str(tree),
-                    "--shared-store",
-                    store_dir,
-                    "--format",
-                    "json",
-                ]
-            )
-            == 0
-        )
-        data = json.loads(capsys.readouterr().out)
-        assert data["cache"]["hits"] == 1
-        assert data["units"][0]["cache_tier"] == "store"
-
-    def test_session_shared_store_parameter(self, tree, tmp_path):
-        from repro.api import Session
-
-        store_dir = tmp_path / "store"
-        with Session(tree, shared_store=store_dir) as warmup:
-            warmup.check()
-        # a brand-new session (fresh memory tier) hits the shared store
-        with Session(tree, shared_store=store_dir) as session:
-            report = session.check()
-        assert [r.cache_tier for r in report.results] == ["store"]

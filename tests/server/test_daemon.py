@@ -1,4 +1,4 @@
-"""Transports: the stdio loop, the TCP server, and the real CLI daemon."""
+"""Transports: the stdio loop, TCP port rebinding, and the real CLI daemon."""
 
 import io
 import json
@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import IncrementalEngine
-from repro.server import AnalysisService, serve_stdio
-from repro.server.daemon import AnalysisTCPServer
+from repro.server import AnalysisService, serve_async_tcp, serve_stdio
 
 ML = 'type t = A of int | B\nexternal get : t -> int = "ml_get"\n'
 
@@ -77,8 +76,24 @@ class TestStdio:
         assert second["result"]["pong"] is True
 
 
-class TestTCP:
-    def _call(self, address, *requests):
+class TestRebind:
+    @staticmethod
+    def _start(service, port):
+        """serve_async_tcp on ``port`` in a thread; returns (thread, address)."""
+        ready = threading.Event()
+        bound = []
+        thread = threading.Thread(
+            target=serve_async_tcp,
+            args=(service,),
+            kwargs={"port": port, "ready": ready, "bound": bound},
+            daemon=True,
+        )
+        thread.start()
+        assert ready.wait(timeout=30), "daemon did not come up"
+        return thread, bound[0]
+
+    @staticmethod
+    def _call(address, *requests):
         with socket.create_connection(address, timeout=10) as conn:
             handle = conn.makefile("rw", encoding="utf-8")
             responses = []
@@ -88,62 +103,33 @@ class TestTCP:
                 responses.append(json.loads(handle.readline()))
             return responses
 
-    def test_serves_concurrent_connections(self, service):
-        with AnalysisTCPServer(("127.0.0.1", 0), service) as server:
-            thread = threading.Thread(
-                target=server.serve_forever, kwargs={"poll_interval": 0.05}
-            )
-            thread.start()
-            try:
-                address = server.server_address
-                (first,) = self._call(address, {"id": 1, "method": "check"})
-                assert first["result"]["tally"]["errors"] == 0
-                # a second client sees the warm engine
-                (second,) = self._call(address, {"id": 2, "method": "check"})
-                assert second["result"]["incremental"]["reused"] == 1
-            finally:
-                server.shutdown()
-                thread.join(timeout=10)
-
-    def test_shutdown_frame_stops_the_server(self, service):
-        with AnalysisTCPServer(("127.0.0.1", 0), service) as server:
-            thread = threading.Thread(
-                target=server.serve_forever, kwargs={"poll_interval": 0.05}
-            )
-            thread.start()
-            (response,) = self._call(
-                server.server_address, {"id": 1, "method": "shutdown"}
-            )
-            assert response["result"] == {"ok": True}
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-
-
-class TestRebind:
-    def test_restart_can_rebind_the_same_port_immediately(self, service):
+    def test_restart_can_rebind_the_same_port_immediately(self, tree):
         """The rebind regression test referenced by the pinned
-        ``allow_reuse_address = True`` in :mod:`repro.server.daemon`:
+        ``reuse_address=True`` in :mod:`repro.server.async_daemon`:
         a restarted daemon must reclaim its port while the old
         connection lingers in TIME_WAIT, not crash with EADDRINUSE."""
-        with AnalysisTCPServer(("127.0.0.1", 0), service) as server:
-            assert server.allow_reuse_address is True
-            thread = threading.Thread(
-                target=server.serve_forever, kwargs={"poll_interval": 0.05}
-            )
-            thread.start()
-            host, port = server.server_address
-            # a completed exchange leaves the client socket in TIME_WAIT
-            with socket.create_connection((host, port), timeout=10) as conn:
-                handle = conn.makefile("rw", encoding="utf-8")
-                handle.write(json.dumps({"id": 1, "method": "ping"}) + "\n")
-                handle.flush()
-                assert json.loads(handle.readline())["result"]["pong"]
-            server.shutdown()
-            thread.join(timeout=10)
+        service = AnalysisService(IncrementalEngine(tree))
+        thread, (host, port) = self._start(service, 0)
+        # the daemon closes its end after acking shutdown, so the served
+        # connection lingers in TIME_WAIT on the daemon's port
+        ping, bye = self._call(
+            (host, port),
+            {"id": 1, "method": "ping"},
+            {"id": 2, "method": "shutdown"},
+        )
+        assert ping["result"]["pong"] is True
+        assert bye["result"] == {"ok": True}
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
-        # without SO_REUSEADDR this raises OSError(EADDRINUSE)
-        with AnalysisTCPServer((host, port), service) as reborn:
-            assert reborn.server_address[1] == port
+        # without SO_REUSEADDR the rebind raises OSError(EADDRINUSE)
+        reborn = AnalysisService(IncrementalEngine(tree))
+        thread, address = self._start(reborn, port)
+        assert address[1] == port
+        (bye,) = self._call(address, {"id": 3, "method": "shutdown"})
+        assert bye["result"] == {"ok": True}
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestCLIDaemon:

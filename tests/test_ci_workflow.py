@@ -37,7 +37,6 @@ def test_jobs_cover_lint_tests_and_bench(workflow):
         "concurrency-smoke",
         "link-smoke",
         "telemetry-smoke",
-        "compiled-smoke",
     }
 
 
@@ -239,28 +238,6 @@ def test_telemetry_smoke_validates_trace_and_metrics_artifacts(workflow):
     assert uploads, "telemetry artifacts must be uploaded"
     path = uploads[0]["with"]["path"]
     assert "trace.json" in path and "metrics.prom" in path
-
-
-def test_compiled_smoke_builds_runs_both_flavors_and_ships_a_wheel(workflow):
-    job = workflow["jobs"]["compiled-smoke"]
-    assert job["needs"] == ["test"]
-    runs = " ".join(step.get("run", "") for step in job["steps"])
-    # in-place mypyc compile, then the whole suite under both kernels
-    assert "build_kernel.py" in runs
-    assert "MLFFI_COMPILE" in runs or any(
-        "MLFFI_COMPILE" in str(step.get("env", {})) for step in job["steps"]
-    )
-    envs = " ".join(str(step.get("env", {})) for step in job["steps"])
-    assert "MLFFI_PURE_PYTHON" in runs or "MLFFI_PURE_PYTHON" in envs
-    # byte-identity of diagnostics between the two kernel flavors
-    assert "diagnostics_byte_identical" in runs
-    assert "--compare-kernels" in runs
-    # the compiled wheel is built and published as an artifact
-    assert "pip wheel" in runs
-    uploads = [
-        s for s in job["steps"] if "upload-artifact" in s.get("uses", "")
-    ]
-    assert uploads and ".whl" in uploads[0]["with"]["path"]
 
 
 def test_every_job_has_a_hang_watchdog_timeout(workflow):

@@ -456,7 +456,7 @@ class TestCacheMaxEntries:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["cache"]["evictions"] == 1
-        assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+        assert len(list((tmp_path / "cache").glob("objects/*/*.json"))) == 1
 
     def test_zero_disables_the_cap(self, glue_tree, tmp_path, capsys):
         code = main(
@@ -474,7 +474,7 @@ class TestCacheMaxEntries:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["cache"]["evictions"] == 0
-        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+        assert len(list((tmp_path / "cache").glob("objects/*/*.json"))) == 2
 
 
 class TestWatchCommand:
@@ -596,6 +596,12 @@ class TestLinkCommand:
         assert doc["stream"]["tally"]["errors"] == 0
         (diag,) = doc["link"]["diagnostics"]
         assert diag["kind"] == "LINK_CONFLICTING_DECL"
+
+    def test_json_reports_link_time(self, link_tree, capsys):
+        # the linker times itself, so the CLI path reports real link time
+        main(["link", str(link_tree), "--no-cache", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["link"]["elapsed_seconds"] > 0
 
     def test_sarif_carries_the_cross_unit_diagnostics(self, link_tree, capsys):
         code = main(
@@ -747,3 +753,13 @@ class TestBatchLinkAndStream:
         parsed = [json.loads(line) for line in lines if line.strip()]
         assert len(parsed) == 4
         assert parsed[-1]["stream"]["units"] == 3
+
+
+class TestVersion:
+    def test_version_prints_the_package_version(self, capsys):
+        from repro import __version__
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--version"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.strip() == f"mlffi-check {__version__}"

@@ -116,13 +116,6 @@ class TestRegistryFingerprint:
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
         assert seeds.registry_fingerprint() != before
 
-    def test_tracks_kernel_flavor(self, monkeypatch):
-        from repro import kernel
-
-        before = seeds.registry_fingerprint()
-        monkeypatch.setattr(kernel, "kernel_flavor", lambda: "compiled")
-        assert seeds.registry_fingerprint() != before
-
     def test_foreign_fingerprint_artifact_is_invisible(self, monkeypatch):
         seeds.store_artifact("host-ocaml", "f" * 64, {"x": 1})
         assert seeds.load_artifact("host-ocaml", "f" * 64) == {"x": 1}
@@ -338,7 +331,6 @@ class TestWarmupAndPrune:
         payload = json.loads(capsys.readouterr().out)
         assert payload["static"]["stored"]
         assert payload["hosts"]["hosts"] == 1
-        assert payload["kernel"] in ("interpreted", "compiled")
 
 
 class TestProjectAnalysisStillWorks:
@@ -356,3 +348,18 @@ class TestProjectAnalysisStillWorks:
         assert [d.render() for d in first.diagnostics] == [
             d.render() for d in second.diagnostics
         ]
+
+
+class TestStatusSurface:
+    def test_server_status_carries_seeds(self, tmp_path):
+        import json
+
+        from repro.engine import IncrementalEngine
+        from repro.server.service import AnalysisService
+
+        (tmp_path / "counter.ml").write_text(ML)
+        service = AnalysisService(IncrementalEngine(str(tmp_path)))
+        status = service.handle(json.dumps({"id": 1, "method": "status"}))
+        result = status["result"]
+        assert "tables" in result["seeds"]
+        assert "artifact_loads" in result["seeds"]
