@@ -12,6 +12,7 @@ assert the final, fully-resolved representational type of ``x``:
 
 
 from repro.api import Project
+from repro.boundary import get_dialect
 from repro.core.checker import Checker
 from repro.core.types import CValue, MTRepr, PSI_TOP, PsiConst
 
@@ -42,7 +43,9 @@ value ml_examine(value x)
 
 def run_example():
     project = Project().add_ocaml(FIG2_ML).add_c(FIG2_C)
-    checker = Checker(project.lower(), project.build_initial_env())
+    checker = Checker(
+        project.lower(), project.build_initial_env(), dialect=get_dialect("ocaml")
+    )
     report = checker.run()
     return checker, report
 
@@ -79,7 +82,11 @@ def test_fig8_sigma_grows_during_inference(benchmark):
         # same C code but the external's type is polymorphic-free unknown:
         # no OCaml declaration at all, so only the C side constrains x
         project = Project().add_c(FIG2_C)
-        checker = Checker(project.lower(), project.build_initial_env())
+        checker = Checker(
+            project.lower(),
+            project.build_initial_env(),
+            dialect=get_dialect("ocaml"),
+        )
         checker.run()
         return checker
 

@@ -18,6 +18,7 @@ Run with::
 """
 
 from repro.api import Project
+from repro.boundary import get_dialect
 from repro.core.checker import Checker
 
 OCAML = """
@@ -74,7 +75,9 @@ value ml_examine(value x)
 def show(title: str, c_source: str) -> None:
     print(f"--- {title}")
     project = Project().add_ocaml(OCAML).add_c(c_source)
-    checker = Checker(project.lower(), project.build_initial_env())
+    checker = Checker(
+        project.lower(), project.build_initial_env(), dialect=get_dialect("ocaml")
+    )
     report = checker.run()
     if not report.diagnostics:
         unifier = checker.ctx.unifier

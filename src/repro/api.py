@@ -14,11 +14,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .boundary import get_dialect
+from .boundary import get_dialect, lower_units
 from .cfront.ir import ProgramIR
 from .corpus import scan_tree
-from .cfront.lower import lower_unit
-from .cfront.parser import parse_c
 from .core.checker import AnalysisReport, InitialEnv
 from .core.exprs import Options
 from .engine import (
@@ -33,12 +31,10 @@ from .engine import (
 )
 from .engine.scheduler import Cache
 from .engine.worker import analyze_request
-from .ocamlfront.repository import TypeRepository, build_initial_env
+from .ocamlfront.repository import TypeRepository
 from .source import SourceFile
 
 SourceLike = Union[str, SourceFile]
-
-OCAML_SUFFIXES = (".ml", ".mli")
 
 
 def _as_source(source: SourceLike, default_name: str) -> SourceFile:
@@ -95,15 +91,20 @@ class Project:
             repo.add_source(source)
         return repo
 
+    def _parsed(self):
+        """The project's dialect and its C sources, parsed by it."""
+        dialect = get_dialect(self.dialect)
+        return dialect, [dialect.parse(source) for source in self.c_sources]
+
     def build_initial_env(self) -> InitialEnv:
-        return build_initial_env(self.build_repository())
+        """``Γ_I``, built by the dialect's host phase."""
+        dialect, units = self._parsed()
+        return dialect.initial_env(self.to_request(), units)
 
     def lower(self) -> ProgramIR:
-        program = ProgramIR()
-        for source in self.c_sources:
-            unit = parse_c(source)
-            program = program.merge(lower_unit(unit))
-        return program
+        """The C sources, lowered by the dialect's hook."""
+        dialect, units = self._parsed()
+        return lower_units(dialect, units)
 
     # -- engine integration ----------------------------------------------------
 

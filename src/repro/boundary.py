@@ -1,4 +1,4 @@
-"""The multi-dialect boundary layer.
+"""The multi-dialect boundary layer: one analysis pipeline, many FFIs.
 
 The paper's inference is not OCaml-specific: it needs (a) an initial
 environment ``Γ_I`` giving the C types of the functions the host language
@@ -6,8 +6,16 @@ calls, (b) a table of runtime entry points with their GC effects, and
 (c) a notion of which C type is "a host value".  Everything else — the
 Figure 6/7 rules, the representational lattice, the effect solver — is
 shared.  A :class:`BoundaryDialect` packages exactly that per-FFI
-knowledge, so the engine, the CLI, and the library API can check any
-foreign boundary the same way:
+knowledge as a handful of hooks, and :func:`run_pipeline` runs §5.1's
+two-phase shape over them, once, for every dialect:
+
+    parse → initial-env (``Γ_I``) → lower → ``Checker`` → dialect passes
+    → summarize
+
+Each step but the parse is a phase span (``initial-env``, ``lower``, the
+checker's ``seed``/``dataflow``/``unify-constraints``,
+``dialect-passes``, ``summarize``), so every dialect's trace has the
+same shape.  The built-in dialects:
 
 * ``ocaml`` — the paper's OCaml-to-C FFI (:mod:`repro.ocamlfront.dialect`);
 * ``pyext`` — CPython extension modules (:mod:`repro.pyext.dialect`),
@@ -26,109 +34,58 @@ foreign boundary the same way:
   ``ocamlfront`` reads it from the repository, and declaration agreement
   (arity, rendered type, platform width class) is the checked property.
 
-Adding a fifth dialect (Lua, Erlang NIFs, ...) means implementing the
-protocol below and registering it with a :class:`DialectSpec`; nothing
-in the core or the engine changes.
+The dialect object is the dialect's only declaration: its ``name`` is
+the registry key, the ``--dialect`` value and the rule-pack name, its
+``host_suffixes`` feed ``Γ_I``, and every dialect reads C the same way
+(:data:`UNIT_SUFFIXES`, :data:`CORPUS_UNIT_SUFFIXES`).  Adding a fifth
+dialect (Lua, Erlang NIFs, ...) means implementing the hooks below and
+calling :func:`register_dialect`; nothing in the core or the engine
+changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-if TYPE_CHECKING:  # avoid import cycles: core/engine never import us back
-    from .core.checker import AnalysisReport, InitialEnv
+from .cfront.ir import ProgramIR
+from .cfront.lexer import scan_includes
+from .core.checker import AnalysisReport, Checker
+from .telemetry import span as _tspan
+
+if TYPE_CHECKING:  # avoid import cycles: the engine imports us
+    from .cfront.ast import TranslationUnit
+    from .core.checker import InitialEnv
     from .core.environment import Entry
+    from .diagnostics import Diagnostic
     from .engine.jobs import CheckRequest
+    from .linker.summary import InterfaceSummary
+    from .source import SourceFile
 
-
-@dataclass(frozen=True)
-class DialectSpec:
-    """The declarative capability surface of one registered dialect.
-
-    Historically this knowledge was scattered: the corpus scanner probed
-    ``corpus_unit_suffixes`` with ``getattr``, the benchmarks hardcoded
-    per-dialect example directories, and the rule pack was implied by
-    kind-name prefixes.  A spec states all of it in one value, handed to
-    :func:`register_dialect` alongside the dialect object; consumers
-    (:mod:`repro.corpus`, the CLI's ``rules``/``conformance`` commands,
-    the benchmark harnesses) read the spec instead of probing the
-    dialect.  Dialects registered without a spec (third-party) get one
-    derived from their attributes, so the old structural contract keeps
-    working.
-    """
-
-    name: str
-    #: suffixes of host-language sources feeding ``Γ_I``
-    host_suffixes: tuple[str, ...] = ()
-    #: suffixes accepted as C-side inputs (units and headers)
-    unit_suffixes: tuple[str, ...] = (".c", ".h")
-    #: the subset of ``unit_suffixes`` a tree scan treats as standalone
-    #: translation units (headers are reached as dependencies)
-    corpus_unit_suffixes: tuple[str, ...] = (".c",)
-    #: repo-relative seeded example corpus (clean + bad), "" if none
-    example_dir: str = ""
-    #: repo-relative multi-unit link-example slice, "" if none
-    link_example_dir: str = ""
-    #: repo-relative benchmark module gating this dialect, "" if none
-    bench_module: str = ""
-    #: name of this dialect's pack in :mod:`repro.rules` (usually the
-    #: dialect name; the paper's own taxonomy is the ``ocaml`` pack)
-    rule_pack: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.rule_pack:
-            object.__setattr__(self, "rule_pack", self.name)
-
-
-def derive_spec(dialect) -> DialectSpec:
-    """A spec for a dialect registered without one.
-
-    This is the single home of the capability probes that used to be
-    scattered: the ``corpus_unit_suffixes`` pin wins when present,
-    otherwise unit suffixes are derived by dropping header-ish and host
-    suffixes, falling back to the historic ``.c``-only scan.
-    """
-    hosts = tuple(getattr(dialect, "host_suffixes", ()))
-    units = tuple(getattr(dialect, "unit_suffixes", ()))
-    pinned = tuple(getattr(dialect, "corpus_unit_suffixes", ()) or ())
-    if not pinned:
-        pinned = tuple(
-            suffix
-            for suffix in units
-            if suffix not in hosts and suffix not in (".h", ".hpp", ".hh")
-        ) or (".c",)
-    return DialectSpec(
-        name=getattr(dialect, "name", "<anonymous>"),
-        host_suffixes=hosts,
-        unit_suffixes=units,
-        corpus_unit_suffixes=pinned,
-    )
+#: suffixes accepted as C-side inputs (units and headers), every dialect
+UNIT_SUFFIXES: tuple[str, ...] = (".c", ".h")
+#: the subset of :data:`UNIT_SUFFIXES` a tree scan treats as standalone
+#: translation units; headers reach the analysis as dependencies of
+#: their includers
+CORPUS_UNIT_SUFFIXES: tuple[str, ...] = (".c",)
 
 
 @runtime_checkable
 class BoundaryDialect(Protocol):
-    """Everything dialect-specific the shared analysis consumes.
+    """Everything dialect-specific the shared pipeline consumes.
 
     The seeding methods build *fresh* inference variables on every call —
     entries must never be shared between analysis runs, or one program's
     unifier bindings would leak into the next.
     """
 
-    #: registry key, also the CLI's ``--dialect`` value
+    #: registry key, the CLI's ``--dialect`` value, and the name of the
+    #: dialect's pack in :mod:`repro.rules`
     name: str
     #: suffixes of host-language sources feeding ``Γ_I`` (may be empty:
     #: pyext reads its boundary contract out of the C sources themselves)
     host_suffixes: tuple[str, ...]
-    #: suffixes of C translation units
-    unit_suffixes: tuple[str, ...]
 
-    # Dialects may additionally pin ``corpus_unit_suffixes`` — the subset
-    # of ``unit_suffixes`` a tree scan treats as standalone translation
-    # units (headers are reached as dependencies, never scanned alone).
-    # When absent, :func:`repro.corpus.unit_suffixes` derives it.  It is
-    # deliberately not a protocol member: existing third-party dialects
-    # remain structurally valid without it.
+    # -- seeds ---------------------------------------------------------------
 
     def builtin_entries(self) -> dict[str, "Entry"]:
         """The runtime entry-point table (the dialect's `macros.py`)."""
@@ -146,47 +103,94 @@ class BoundaryDialect(Protocol):
         """Allocators whose result is a fresh block with a known tag."""
         ...
 
-    def initial_env(self, request: "CheckRequest") -> "InitialEnv":
-        """Phase one: build ``Γ_I`` for one translation unit."""
+    # -- pipeline hooks, in the order :func:`run_pipeline` calls them --------
+
+    def parse(self, source: "SourceFile") -> "TranslationUnit":
+        """Parse one C source with the dialect's vocabulary."""
         ...
 
-    def analyze(self, request: "CheckRequest") -> "AnalysisReport":
-        """Run both phases for one unit and return the full report."""
+    def initial_env(
+        self, request: "CheckRequest", units: list["TranslationUnit"]
+    ) -> "InitialEnv":
+        """Phase one: build ``Γ_I`` from the host side (or, when the
+        contract lives in C, from the parsed units)."""
         ...
 
-    def unit_dependencies(self, request: "CheckRequest") -> tuple[str, ...]:
-        """Files an edit to which must invalidate this unit's result.
+    def lower(self, unit: "TranslationUnit") -> ProgramIR:
+        """Lower one parsed unit, rewriting dialect idioms into the
+        shared C subset first if the dialect has any."""
+        ...
 
-        Returned names are as written in the sources: host-language
-        interface files by their recorded filename, quoted ``#include``
-        targets verbatim.  The incremental engine resolves them against
-        the unit's directory and the project root to build its
-        dependency graph.
+    def passes(
+        self, request: "CheckRequest", units: list["TranslationUnit"]
+    ) -> list["Diagnostic"]:
+        """Dialect-specific checks over the *original* AST, appended
+        after the checker's diagnostics (may be empty)."""
+        ...
+
+    def summarize(
+        self, request: "CheckRequest", units: list["TranslationUnit"]
+    ) -> "InterfaceSummary":
+        """The unit's link-relevant slice (see :mod:`repro.linker`)."""
+        ...
+
+    def analyze(self, request: "CheckRequest") -> AnalysisReport:
+        """Run both phases for one unit: ``run_pipeline(self, request)``.
+
+        Defined in each dialect's own class body, like ``summarize``, and
+        ``parse``/``lower`` call the ``parse_c``/``lower_unit`` names bound
+        in the dialect's module: the traced benchmark run
+        (``perfbench/layers.py``) wraps exactly those bindings.
         """
         ...
 
 
+def lower_units(dialect: BoundaryDialect, units: list["TranslationUnit"]) -> ProgramIR:
+    """Lower every unit with the dialect's hook into one program."""
+    program = ProgramIR()
+    for unit in units:
+        program = program.merge(dialect.lower(unit))
+    return program
+
+
+def run_pipeline(dialect: BoundaryDialect, request: "CheckRequest") -> AnalysisReport:
+    """§5.1's two phases for one request, through the dialect's hooks."""
+    units = [dialect.parse(source) for source in request.c_sources]
+    with _tspan("initial-env", cat="phase"):
+        initial_env = dialect.initial_env(request, units)
+    with _tspan("lower", cat="phase"):
+        program = lower_units(dialect, units)
+    report = Checker(program, initial_env, request.options, dialect=dialect).run()
+    with _tspan("dialect-passes", cat="phase"):
+        report.diagnostics.extend(dialect.passes(request, units))
+    with _tspan("summarize", cat="phase"):
+        report.summary = dialect.summarize(request, units).to_dict()
+    return report
+
+
+def unit_dependencies(request: "CheckRequest") -> tuple[str, ...]:
+    """Files an edit to which must invalidate this unit's result.
+
+    Every host source by its recorded filename (an edit rebuilds the
+    shared host side, so every unit depends on all of it), then the
+    units' quoted ``#include`` targets verbatim.  The incremental engine
+    resolves them against the unit's directory and the project root to
+    build its dependency graph.
+    """
+    deps = dict.fromkeys(source.filename for source in request.ocaml_sources)
+    for source in request.c_sources:
+        for header in scan_includes(source.text):
+            deps.setdefault(header)
+    return tuple(deps)
+
+
 _REGISTRY: dict[str, BoundaryDialect] = {}
-_SPECS: dict[str, DialectSpec] = {}
 _BOOTSTRAPPED = False
 
 
-def register_dialect(
-    dialect: BoundaryDialect, spec: Optional[DialectSpec] = None
-) -> BoundaryDialect:
-    """Make a dialect addressable by name (last registration wins).
-
-    ``spec`` declares the dialect's capability surface; when omitted one
-    is derived from the dialect's attributes (the legacy structural
-    contract), so third-party registrations keep working unchanged.
-    """
-    if spec is not None and spec.name != dialect.name:
-        raise ValueError(
-            f"spec name `{spec.name}` does not match dialect "
-            f"`{dialect.name}`"
-        )
+def register_dialect(dialect: BoundaryDialect) -> BoundaryDialect:
+    """Make a dialect addressable by name (last registration wins)."""
     _REGISTRY[dialect.name] = dialect
-    _SPECS[dialect.name] = spec if spec is not None else derive_spec(dialect)
     return dialect
 
 
@@ -212,30 +216,6 @@ def get_dialect(name: str) -> BoundaryDialect:
         raise ValueError(
             f"unknown boundary dialect `{name}` (known: {known})"
         ) from None
-
-
-def get_spec(name: str) -> DialectSpec:
-    """The declared (or derived) capability spec of a registered dialect."""
-    get_dialect(name)  # bootstrap + unknown-name error path
-    return _SPECS[name]
-
-
-def spec_of(dialect_or_spec) -> DialectSpec:
-    """Normalize ``DialectSpec`` | dialect name | registered dialect |
-    dialect-like.
-
-    The corpus scanner and benchmarks accept any of these; an
-    unregistered dialect-like object gets a derived spec so structural
-    third-party dialects can still drive a tree scan directly.
-    """
-    if isinstance(dialect_or_spec, DialectSpec):
-        return dialect_or_spec
-    if isinstance(dialect_or_spec, str):
-        return get_spec(dialect_or_spec)
-    name = getattr(dialect_or_spec, "name", None)
-    if name is not None and _REGISTRY.get(name) is dialect_or_spec:
-        return _SPECS[name]
-    return derive_spec(dialect_or_spec)
 
 
 def available_dialects() -> tuple[str, ...]:

@@ -62,7 +62,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .api import Project
-from .boundary import available_dialects, get_dialect, get_spec
+from .boundary import UNIT_SUFFIXES, available_dialects, get_dialect
 from .core.exprs import Options
 from .corpus import iter_tree
 from .engine import (
@@ -576,6 +576,14 @@ def _make_cache(args: argparse.Namespace):
     return ResultCache(args.cache_dir, max_entries=max_entries)
 
 
+def _options(args: argparse.Namespace) -> Options:
+    """The analysis options the ``--no-*`` flags describe."""
+    return Options(
+        flow_sensitive=not args.no_flow_sensitive,
+        gc_effects=not args.no_gc_effects,
+    )
+
+
 def _run_check(args: argparse.Namespace) -> int:
     dialect = get_dialect(args.dialect)
     project = Project(dialect=dialect.name)
@@ -587,27 +595,23 @@ def _run_check(args: argparse.Namespace) -> int:
         source = SourceFile(str(path), path.read_text())
         if path.suffix in dialect.host_suffixes:
             project.add_ocaml(source)
-        elif path.suffix in dialect.unit_suffixes:
+        elif path.suffix in UNIT_SUFFIXES:
             project.add_c(source)
         else:
-            wanted = "/".join(dialect.host_suffixes + dialect.unit_suffixes)
+            wanted = "/".join(dialect.host_suffixes + UNIT_SUFFIXES)
             print(
                 f"error: unknown extension on {name} for dialect "
                 f"{dialect.name} (want {wanted})",
                 file=sys.stderr,
             )
             return 125
-    options = Options(
-        flow_sensitive=not args.no_flow_sensitive,
-        gc_effects=not args.no_gc_effects,
-    )
     with _telemetry(args) as tracer:
 
         def run():
             # the single-shot path runs in-process, so phase spans land
             # on the installed tracer directly; the unit span is ours
             with span("<project>", cat="unit", dialect=args.dialect):
-                return project.analyze(options)
+                return project.analyze(_options(args))
 
         report = _profiled(args, run)
         if args.metrics_out:
@@ -666,7 +670,7 @@ def _link_results(results) -> "LinkReport":
     return linker.report()
 
 
-def _stream_scan(args: argparse.Namespace, options: Options):
+def _stream_scan(args: argparse.Namespace):
     """The lazy corpus behind ``batch --stream`` and ``link``: eager
     hosts, a unit-path list, and a request generator that loads one
     source at a time.  Returns ``None`` (after printing) on a bad tree.
@@ -683,6 +687,7 @@ def _stream_scan(args: argparse.Namespace, options: Options):
         )
         return None
     hosts = tuple(scan.hosts)
+    options = _options(args)
 
     def requests(trace: bool = False):
         for source in scan.iter_units():
@@ -698,7 +703,7 @@ def _stream_scan(args: argparse.Namespace, options: Options):
     return requests
 
 
-def _run_batch_stream(args: argparse.Namespace, options: Options) -> int:
+def _run_batch_stream(args: argparse.Namespace) -> int:
     """``batch --stream``: the bounded-memory sweep, batch-flavoured."""
     if args.format == "sarif":
         print(
@@ -707,7 +712,7 @@ def _run_batch_stream(args: argparse.Namespace, options: Options) -> int:
             file=sys.stderr,
         )
         return 125
-    requests = _stream_scan(args, options)
+    requests = _stream_scan(args)
     if requests is None:
         return 125
     cache = _make_cache(args)
@@ -762,12 +767,8 @@ def _run_batch_stream(args: argparse.Namespace, options: Options) -> int:
 
 
 def _run_batch(args: argparse.Namespace) -> int:
-    options = Options(
-        flow_sensitive=not args.no_flow_sensitive,
-        gc_effects=not args.no_gc_effects,
-    )
     if args.stream:
-        return _run_batch_stream(args, options)
+        return _run_batch_stream(args)
     root = Path(args.directory)
     if not root.is_dir():
         print(f"error: no such directory: {args.directory}", file=sys.stderr)
@@ -785,7 +786,7 @@ def _run_batch(args: argparse.Namespace) -> int:
         def run():
             with span("batch", cat="phase"):
                 return project.analyze_batch(
-                    options,
+                    _options(args),
                     jobs=args.jobs,
                     cache=cache,
                     trace=tracer is not None,
@@ -836,11 +837,7 @@ def _run_batch(args: argparse.Namespace) -> int:
 
 def _run_link(args: argparse.Namespace) -> int:
     """``mlffi-check link``: stream-check the corpus, then link it."""
-    options = Options(
-        flow_sensitive=not args.no_flow_sensitive,
-        gc_effects=not args.no_gc_effects,
-    )
-    requests = _stream_scan(args, options)
+    requests = _stream_scan(args)
     if requests is None:
         return 125
     cache = _make_cache(args)
@@ -925,7 +922,7 @@ def _conformance_rows(
     pack; rules that fired from outside both (the shared paper taxonomy
     can fire under any dialect) are appended so no finding is dropped.
     """
-    covered = list(rules_pack(get_spec(dialect).rule_pack))
+    covered = list(rules_pack(dialect))
     covered += rules_pack("link")
     covered_ids = {rule.id for rule in covered}
     for rule_id in sorted(fired):
@@ -936,11 +933,7 @@ def _conformance_rows(
 
 def _run_conformance(args: argparse.Namespace) -> int:
     """``mlffi-check conformance``: the link sweep, reported by rule."""
-    options = Options(
-        flow_sensitive=not args.no_flow_sensitive,
-        gc_effects=not args.no_gc_effects,
-    )
-    requests = _stream_scan(args, options)
+    requests = _stream_scan(args)
     if requests is None:
         return 125
     cache = _make_cache(args)
@@ -994,7 +987,7 @@ def _run_conformance(args: argparse.Namespace) -> int:
         doc = {
             "conformance": {
                 "dialect": args.dialect,
-                "pack": get_spec(args.dialect).rule_pack,
+                "pack": args.dialect,
                 "rules": [
                     {
                         **rule.to_dict(),
@@ -1035,14 +1028,10 @@ def _build_engine(args: argparse.Namespace) -> Optional[IncrementalEngine]:
     if not root.is_dir():
         print(f"error: no such directory: {args.directory}", file=sys.stderr)
         return None
-    options = Options(
-        flow_sensitive=not args.no_flow_sensitive,
-        gc_effects=not args.no_gc_effects,
-    )
     return IncrementalEngine(
         root,
         dialect=args.dialect,
-        options=options,
+        options=_options(args),
         jobs=args.jobs,
         cache=_make_cache(args),
         trace=getattr(args, "trace_out", None) is not None,

@@ -3,8 +3,9 @@
 The checker stitches the two phases together:
 
 1. it receives ``Γ_I`` — the C types of ``external`` functions produced by
-   the OCaml phase (:mod:`repro.ocamlfront.repository`) — and seeds the
-   function environment with it plus the OCaml runtime entry points;
+   the host phase (:mod:`repro.ocamlfront.repository` for OCaml) — and
+   seeds the function environment with it plus the dialect's runtime
+   entry points;
 2. it runs the Figure 6/7 inference over every C function body to
    fixpoint;
 3. it discharges the deferred constraints: ``T + 1 ≤ Ψ`` bounds, GC-effect
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..cfront.ir import ProgramIR
-from ..cfront.macros import POLYMORPHIC_BUILTINS, builtin_entries
 from ..diagnostics import DiagnosticBag, Kind
 from ..source import DUMMY_SPAN, Span
 from ..telemetry import span as _tspan
@@ -112,9 +112,7 @@ class Checker:
     ``dialect`` supplies the boundary-specific seeds — the runtime builtin
     table, the polymorphic-builtin set, well-known runtime globals, and the
     allocator tag table (any object satisfying
-    :class:`repro.boundary.BoundaryDialect` works).  When omitted, the
-    OCaml defaults from :mod:`repro.cfront.macros` apply, which keeps the
-    historical single-dialect entry points working unchanged.
+    :class:`repro.boundary.BoundaryDialect` works).
     """
 
     def __init__(
@@ -122,7 +120,8 @@ class Checker:
         program: ProgramIR,
         initial_env: Optional[InitialEnv] = None,
         options: Optional[Options] = None,
-        dialect=None,
+        *,
+        dialect,
     ):
         self.program = program
         self.initial_env = initial_env or InitialEnv()
@@ -135,20 +134,15 @@ class Checker:
             diagnostics=DiagnosticBag(),
             options=options or Options(),
         )
-        if dialect is not None:
-            self.ctx.alloc_result_tags = normalize_alloc_tags(
-                dialect.alloc_result_tags()
-            )
+        self.ctx.alloc_result_tags = normalize_alloc_tags(
+            dialect.alloc_result_tags()
+        )
 
     # -- seeding -------------------------------------------------------------
 
     def _seed_functions(self) -> None:
-        if self.dialect is not None:
-            self.ctx.functions.update(self.dialect.builtin_entries())
-            self.ctx.polymorphic.update(self.dialect.polymorphic_builtins())
-        else:
-            self.ctx.functions.update(builtin_entries())
-            self.ctx.polymorphic.update(POLYMORPHIC_BUILTINS)
+        self.ctx.functions.update(self.dialect.builtin_entries())
+        self.ctx.polymorphic.update(self.dialect.polymorphic_builtins())
         for name, fn_ct in self.initial_env.functions.items():
             self.ctx.functions[name] = Entry(fn_ct)
         for fn in self.program.functions:
@@ -167,8 +161,7 @@ class Checker:
                 )
 
     def _seed_globals(self) -> None:
-        if self.dialect is not None:
-            self.ctx.global_bindings.update(self.dialect.global_entries())
+        self.ctx.global_bindings.update(self.dialect.global_entries())
         for decl in self.program.globals:
             if self._mentions_value(decl.ctype):
                 self.ctx.report(
@@ -286,11 +279,3 @@ class Checker:
             signatures[name] = printer.signature(name, solved)
         return signatures
 
-
-def check_program(
-    program: ProgramIR,
-    initial_env: Optional[InitialEnv] = None,
-    options: Optional[Options] = None,
-) -> AnalysisReport:
-    """Convenience wrapper: analyze a lowered program."""
-    return Checker(program, initial_env, options).run()

@@ -1,9 +1,9 @@
 """Project-tree scanning shared by the batch and incremental drivers.
 
 One place decides what a corpus is: host-language sources (the dialect's
-``host_suffixes``) feed the shared type repository, files with one of the
-dialect's *corpus unit* suffixes are translation units, and files that
-cannot be decoded or have no content are skipped with a
+``host_suffixes``) feed the shared type repository, ``.c`` files
+(:data:`repro.boundary.CORPUS_UNIT_SUFFIXES`) are translation units, and
+files that cannot be decoded or have no content are skipped with a
 :class:`UserWarning` — a stray binary or an empty placeholder must not
 sink a sweep.  :meth:`repro.api.Project.from_directory`,
 :meth:`repro.engine.IncrementalEngine.reload` and the streaming link
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from .boundary import spec_of
+from .boundary import CORPUS_UNIT_SUFFIXES, BoundaryDialect
 from .source import SourceFile
 
 
@@ -48,19 +48,6 @@ def read_source(
         warnings.warn(f"skipping empty source {path}", stacklevel=2)
         return None
     return SourceFile(name if name is not None else str(path), text)
-
-
-def unit_suffixes(spec) -> tuple[str, ...]:
-    """The suffixes that make a file a *translation unit* for ``spec``.
-
-    ``spec`` may be a :class:`~repro.boundary.DialectSpec`, a registered
-    dialect, or any dialect-like object; :func:`repro.boundary.spec_of`
-    normalizes all three.  The derivation rules (explicit
-    ``corpus_unit_suffixes`` pin wins, else drop header-ish and host
-    suffixes, else the historic ``.c``-only scan) live with the spec,
-    not here.
-    """
-    return tuple(spec_of(spec).corpus_unit_suffixes)
 
 
 @dataclass
@@ -97,30 +84,28 @@ class StreamScan:
 
 def iter_tree(
     root: str | Path,
-    spec,
+    dialect: BoundaryDialect,
     name_for: Callable[[Path], str] = str,
 ) -> StreamScan:
     """Walk ``root`` with the dialect's suffix map, hosts eager, units lazy."""
-    resolved = spec_of(spec)
-    units = resolved.corpus_unit_suffixes
     scan = StreamScan(name_for=name_for)
     for path in sorted(Path(root).rglob("*")):
         if not path.is_file():
             continue
-        if path.suffix in resolved.host_suffixes:
+        if path.suffix in dialect.host_suffixes:
             source = read_source(path, name_for(path))
             if source is not None:
                 scan.hosts.append(source)
-        elif path.suffix in units:
+        elif path.suffix in CORPUS_UNIT_SUFFIXES:
             scan.unit_paths.append(path)
     return scan
 
 
 def scan_tree(
     root: str | Path,
-    spec,
+    dialect: BoundaryDialect,
     name_for: Callable[[Path], str] = str,
 ) -> CorpusScan:
     """Walk ``root`` with the dialect's suffix map, in sorted order."""
-    stream = iter_tree(root, spec, name_for)
+    stream = iter_tree(root, dialect, name_for)
     return CorpusScan(hosts=stream.hosts, units=list(stream.iter_units()))

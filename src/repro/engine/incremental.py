@@ -8,7 +8,7 @@ service.  An :class:`IncrementalEngine` keeps a whole corpus resident:
 * a :class:`DependencyGraph` linking each unit to the files it reads — its
   own ``.c`` source, every host-language interface file feeding ``Γ_I``,
   and the quoted headers found during lowering (see
-  :meth:`repro.boundary.BoundaryDialect.unit_dependencies`) — so an edit
+  :func:`repro.boundary.unit_dependencies`) — so an edit
   dirties exactly the affected units;
 * a two-tier result cache: an in-memory LRU in front of the on-disk
   :class:`~repro.engine.cache.ResultCache`, which is thereby demoted to a
@@ -30,9 +30,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from ..boundary import get_dialect
+from ..boundary import CORPUS_UNIT_SUFFIXES, get_dialect, unit_dependencies
 from ..core.exprs import Options
-from ..corpus import read_source, scan_tree, unit_suffixes
+from ..corpus import read_source, scan_tree
 from ..linker import Linker, LinkReport
 from ..source import SourceFile
 from ..telemetry import span
@@ -169,8 +169,7 @@ class IncrementalEngine:
         #: can key requests while a check holds the engine lock.
         self._revision = 0
         self._revision_lock = threading.Lock()
-        self._spec = get_dialect(dialect)
-        self._unit_suffixes = unit_suffixes(self._spec)
+        self._boundary = get_dialect(dialect)
         #: tally of the most recent :meth:`link` pass, for ``status``
         self._last_link: Optional[dict] = None
         self._lock = threading.RLock()
@@ -207,7 +206,7 @@ class IncrementalEngine:
         names against the unit's directory and then the project root."""
         unit_dir = Path(state.name).parent
         deps = {state.name}
-        for dep in self._spec.unit_dependencies(state.request):
+        for dep in unit_dependencies(state.request):
             if dep in self._hosts:
                 deps.add(dep)
                 continue
@@ -243,7 +242,7 @@ class IncrementalEngine:
                 self._drop_unit(state.name)
             scan = scan_tree(
                 self.root,
-                self._spec,
+                self._boundary,
                 name_for=lambda path: _normalize(path, self.root),
             )
             self._hosts = {source.filename: source for source in scan.hosts}
@@ -267,7 +266,7 @@ class IncrementalEngine:
             for raw in paths:
                 path = _normalize(raw, self.root)
                 suffix = Path(path).suffix
-                if suffix in self._spec.host_suffixes:
+                if suffix in self._boundary.host_suffixes:
                     source = self._read(path)
                     previous = self._hosts.get(path)
                     if source is None:
@@ -289,7 +288,7 @@ class IncrementalEngine:
                         self._index_unit(state)
                         self._dirty.add(path)
                         affected.add(path)
-                elif suffix in self._unit_suffixes and Path(path).is_file():
+                elif suffix in CORPUS_UNIT_SUFFIXES and Path(path).is_file():
                     source = self._read(path)
                     if source is not None:
                         self._adopt_unit(source)

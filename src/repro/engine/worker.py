@@ -5,9 +5,9 @@ Everything here is reachable from a module-level name (a requirement of
 :class:`~repro.engine.jobs.CheckRequest` it is handed — no ambient state
 crosses the process boundary.  The request's ``dialect`` names the
 boundary dialect that interprets it; phase one (``Γ_I``) and phase two
-(lower + infer) both live behind
+(lower + infer) both run in :func:`repro.boundary.run_pipeline` behind
 :meth:`repro.boundary.BoundaryDialect.analyze`, so the engine schedules
-OCaml glue and CPython extension modules identically.
+every dialect identically.
 
 Dialects memoize what is profitably shared per process (the OCaml dialect
 memoizes its type repository by content fingerprint); ``Γ_I`` itself is

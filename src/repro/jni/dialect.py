@@ -19,19 +19,18 @@ tallies, caching, and rendering need no dialect-specific code.
 
 from __future__ import annotations
 
-from ..boundary import DialectSpec, register_dialect
+from ..boundary import register_dialect, run_pipeline
 from ..cfront.ast import TranslationUnit
 from ..cfront.ir import ProgramIR
-from ..cfront.lexer import scan_includes
 from ..cfront.lower import lower_unit
 from ..cfront.parser import parse_c
-from ..core.checker import AnalysisReport, Checker, InitialEnv
+from ..core.checker import AnalysisReport, InitialEnv
 from ..core.environment import Entry
+from ..diagnostics import Diagnostic
 from ..engine.jobs import CheckRequest
 from ..linker.extract import function_row, summarize_units
 from ..linker.summary import InterfaceSummary, SymbolRow
 from ..source import SourceFile
-from ..telemetry import span as _tspan
 from . import descriptors, refs, repository, runtime
 from .rewrite import rewrite_unit
 
@@ -41,10 +40,6 @@ class JniDialect:
 
     name = "jni"
     host_suffixes: tuple[str, ...] = ()
-    unit_suffixes = (".c", ".h")
-    #: only .c files are scanned as standalone units; headers reach
-    #: the analysis as dependencies of their includers
-    corpus_unit_suffixes = (".c",)
 
     # -- seeds ---------------------------------------------------------------
 
@@ -61,40 +56,34 @@ class JniDialect:
         # JVM references are opaque; no allocator yields a known-tag block
         return {}
 
-    # -- phases --------------------------------------------------------------
+    # -- pipeline hooks ------------------------------------------------------
 
     def parse(self, source: SourceFile) -> TranslationUnit:
         return parse_c(source, runtime.parse_hints())
 
-    def initial_env(self, request: CheckRequest) -> InitialEnv:
-        units = [self.parse(source) for source in request.c_sources]
+    def initial_env(
+        self, request: CheckRequest, units: list[TranslationUnit]
+    ) -> InitialEnv:
         return repository.build_initial_env(units)
 
+    def lower(self, unit: TranslationUnit) -> ProgramIR:
+        return lower_unit(
+            rewrite_unit(unit), extra_returns=runtime.lowering_return_types()
+        )
+
+    def passes(
+        self, request: CheckRequest, units: list[TranslationUnit]
+    ) -> list[Diagnostic]:
+        # read the *original* AST: descriptor strings and env-table calls
+        # are erased by the rewrite
+        diagnostics: list[Diagnostic] = []
+        for unit in units:
+            diagnostics += descriptors.check_unit(unit)
+            diagnostics += refs.check_unit(unit)
+        return diagnostics
+
     def analyze(self, request: CheckRequest) -> AnalysisReport:
-        units = [self.parse(source) for source in request.c_sources]
-        with _tspan("initial-env", cat="phase"):
-            initial_env = repository.build_initial_env(units)
-
-        with _tspan("lower", cat="phase"):
-            return_types = runtime.lowering_return_types()
-            program = ProgramIR()
-            for unit in units:
-                program = program.merge(
-                    lower_unit(rewrite_unit(unit), extra_returns=return_types)
-                )
-        report = Checker(
-            program, initial_env, request.options, dialect=self
-        ).run()
-
-        # the dialect-specific passes read the *original* AST: descriptor
-        # strings and env-table calls are erased by the rewrite
-        with _tspan("dialect-passes", cat="phase"):
-            for unit in units:
-                report.diagnostics.extend(descriptors.check_unit(unit))
-                report.diagnostics.extend(refs.check_unit(unit))
-        with _tspan("summarize", cat="phase"):
-            report.summary = self.summarize(request, units).to_dict()
-        return report
+        return run_pipeline(self, request)
 
     def summarize(self, request: CheckRequest, units) -> InterfaceSummary:
         """Link-relevant slice: C exports/externs plus every
@@ -124,26 +113,5 @@ class JniDialect:
                     )
         return summary
 
-    def unit_dependencies(self, request: CheckRequest) -> tuple[str, ...]:
-        """Quoted includes only: the boundary contract (registration
-        tables, ``Java_*`` exports) lives in the C sources themselves,
-        so there is no host side to depend on."""
-        deps: dict[str, None] = {}
-        for source in request.c_sources:
-            for header in scan_includes(source.text):
-                deps.setdefault(header)
-        return tuple(deps)
 
-
-JNI_DIALECT = register_dialect(
-    JniDialect(),
-    DialectSpec(
-        name="jni",
-        host_suffixes=(),
-        unit_suffixes=(".c", ".h"),
-        corpus_unit_suffixes=(".c",),
-        example_dir="examples/jni",
-        link_example_dir="examples/link/jni",
-        bench_module="benchmarks/bench_jni.py",
-    ),
-)
+JNI_DIALECT = register_dialect(JniDialect())

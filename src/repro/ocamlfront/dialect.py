@@ -13,9 +13,9 @@ units (the unifier must not see another unit's bindings).
 
 from __future__ import annotations
 
-from ..boundary import DialectSpec, register_dialect
+from ..boundary import register_dialect, run_pipeline
+from ..cfront.ast import TranslationUnit
 from ..cfront.ir import ProgramIR
-from ..cfront.lexer import scan_includes
 from ..cfront.lower import lower_unit
 from ..cfront.macros import (
     ALLOC_RESULT_TAG,
@@ -23,13 +23,14 @@ from ..cfront.macros import (
     builtin_entries,
 )
 from ..cfront.parser import parse_c
-from ..core.checker import AnalysisReport, Checker, InitialEnv
+from ..core.checker import AnalysisReport, InitialEnv
 from ..core.environment import Entry
+from ..diagnostics import Diagnostic
 from ..engine.jobs import CheckRequest, repository_fingerprint
 from ..linker.extract import summarize_units
-from ..seeds import HostSeedMemo
-from ..telemetry import span as _tspan
 from ..linker.summary import InterfaceSummary, SymbolRow
+from ..seeds import HostSeedMemo
+from ..source import SourceFile
 from .repository import TypeRepository, build_initial_env
 
 #: Shared memo for parsed repositories: in-process table over the seed
@@ -44,10 +45,6 @@ class OCamlDialect:
 
     name = "ocaml"
     host_suffixes = (".ml", ".mli")
-    unit_suffixes = (".c", ".h")
-    #: only .c files are scanned as standalone units; headers reach
-    #: the analysis as dependencies of their includers
-    corpus_unit_suffixes = (".c",)
 
     # -- seeds ---------------------------------------------------------------
 
@@ -63,7 +60,7 @@ class OCamlDialect:
     def alloc_result_tags(self) -> dict[str, int | str]:
         return dict(ALLOC_RESULT_TAG)
 
-    # -- phases --------------------------------------------------------------
+    # -- pipeline hooks ------------------------------------------------------
 
     def repository_for(self, request: CheckRequest) -> TypeRepository:
         fingerprint = repository_fingerprint(request.ocaml_sources)
@@ -80,23 +77,25 @@ class OCamlDialect:
     #: with a parsed host side; see :func:`repro.seeds.warmup_hosts`)
     host_interface_for = repository_for
 
-    def initial_env(self, request: CheckRequest) -> InitialEnv:
+    def parse(self, source: SourceFile) -> TranslationUnit:
+        return parse_c(source)
+
+    def initial_env(
+        self, request: CheckRequest, units: list[TranslationUnit]
+    ) -> InitialEnv:
         return build_initial_env(self.repository_for(request))
 
+    def lower(self, unit: TranslationUnit) -> ProgramIR:
+        return lower_unit(unit)
+
+    def passes(
+        self, request: CheckRequest, units: list[TranslationUnit]
+    ) -> list[Diagnostic]:
+        # the paper's checks all live in the shared checker
+        return []
+
     def analyze(self, request: CheckRequest) -> AnalysisReport:
-        with _tspan("initial-env", cat="phase"):
-            initial_env = self.initial_env(request)
-        units = [parse_c(source) for source in request.c_sources]
-        with _tspan("lower", cat="phase"):
-            program = ProgramIR()
-            for unit in units:
-                program = program.merge(lower_unit(unit))
-        report = Checker(
-            program, initial_env, request.options, dialect=self
-        ).run()
-        with _tspan("summarize", cat="phase"):
-            report.summary = self.summarize(request, units).to_dict()
-        return report
+        return run_pipeline(self, request)
 
     def summarize(self, request: CheckRequest, units) -> InterfaceSummary:
         """Link-relevant slice: C exports/externs plus the ``external``
@@ -121,28 +120,5 @@ class OCamlDialect:
                 )
         return summary
 
-    def unit_dependencies(self, request: CheckRequest) -> tuple[str, ...]:
-        """Every ``Γ_I`` input plus the unit's quoted includes: an edit to
-        any ``.ml``/``.mli`` rebuilds the shared repository, so every unit
-        depends on the whole host side."""
-        deps: dict[str, None] = {}
-        for source in request.ocaml_sources:
-            deps.setdefault(source.filename)
-        for source in request.c_sources:
-            for header in scan_includes(source.text):
-                deps.setdefault(header)
-        return tuple(deps)
 
-
-OCAML_DIALECT = register_dialect(
-    OCamlDialect(),
-    DialectSpec(
-        name="ocaml",
-        host_suffixes=(".ml", ".mli"),
-        unit_suffixes=(".c", ".h"),
-        corpus_unit_suffixes=(".c",),
-        example_dir="examples/glue",
-        link_example_dir="examples/link/ocaml",
-        bench_module="benchmarks/bench_fig9.py",
-    ),
-)
+OCAML_DIALECT = register_dialect(OCamlDialect())

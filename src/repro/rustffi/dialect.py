@@ -21,20 +21,19 @@ rendered to canonical C so agreement is string equality.
 
 from __future__ import annotations
 
-from ..boundary import DialectSpec, register_dialect
+from ..boundary import register_dialect, run_pipeline
 from ..cfront.ast import TranslationUnit
 from ..cfront.ir import ProgramIR
-from ..cfront.lexer import scan_includes
 from ..cfront.lower import lower_unit
 from ..cfront.parser import parse_c
-from ..core.checker import AnalysisReport, Checker, InitialEnv
+from ..core.checker import AnalysisReport, InitialEnv
 from ..core.environment import Entry
+from ..diagnostics import Diagnostic
 from ..engine.jobs import CheckRequest, repository_fingerprint
 from ..linker.extract import summarize_units
 from ..linker.summary import InterfaceSummary, SymbolRow
 from ..seeds import HostSeedMemo
 from ..source import SourceFile
-from ..telemetry import span as _tspan
 from . import declcheck, runtime
 from .parser import RustFn, RustInterface, parse_sources
 from .widths import render_fn
@@ -51,10 +50,6 @@ class RustFfiDialect:
 
     name = "rust"
     host_suffixes = (".rs",)
-    unit_suffixes = (".c", ".h")
-    #: only .c files are scanned as standalone units; headers reach
-    #: the analysis as dependencies of their includers
-    corpus_unit_suffixes = (".c",)
 
     # -- seeds ---------------------------------------------------------------
 
@@ -71,7 +66,7 @@ class RustFfiDialect:
     def alloc_result_tags(self) -> dict[str, int | str]:
         return {}
 
-    # -- phases --------------------------------------------------------------
+    # -- pipeline hooks ------------------------------------------------------
 
     def interface_for(self, request: CheckRequest) -> RustInterface:
         fingerprint = repository_fingerprint(request.ocaml_sources)
@@ -86,30 +81,25 @@ class RustFfiDialect:
     def parse(self, source: SourceFile) -> TranslationUnit:
         return parse_c(source, runtime.parse_hints())
 
-    def initial_env(self, request: CheckRequest) -> InitialEnv:
-        # declaration agreement is checked by the dialect pass against
-        # the Rust interface; the Figure 6/7 seeds stay empty because no
+    def initial_env(
+        self, request: CheckRequest, units: list[TranslationUnit]
+    ) -> InitialEnv:
+        # the host phase loads the Rust interface the declaration pass
+        # checks against; the Figure 6/7 seeds stay empty because no
         # boxed-value type crosses this boundary
+        self.interface_for(request)
         return InitialEnv()
 
+    def lower(self, unit: TranslationUnit) -> ProgramIR:
+        return lower_unit(unit)
+
+    def passes(
+        self, request: CheckRequest, units: list[TranslationUnit]
+    ) -> list[Diagnostic]:
+        return declcheck.check_interface(self.interface_for(request), units)
+
     def analyze(self, request: CheckRequest) -> AnalysisReport:
-        with _tspan("initial-env", cat="phase"):
-            interface = self.interface_for(request)
-        units = [self.parse(source) for source in request.c_sources]
-        with _tspan("lower", cat="phase"):
-            program = ProgramIR()
-            for unit in units:
-                program = program.merge(lower_unit(unit))
-        report = Checker(
-            program, InitialEnv(), request.options, dialect=self
-        ).run()
-        with _tspan("dialect-passes", cat="phase"):
-            report.diagnostics.extend(
-                declcheck.check_interface(interface, units)
-            )
-        with _tspan("summarize", cat="phase"):
-            report.summary = self.summarize(request, units).to_dict()
-        return report
+        return run_pipeline(self, request)
 
     def summarize(self, request: CheckRequest, units) -> InterfaceSummary:
         """Link-relevant slice: C exports/externs plus the Rust side's
@@ -132,27 +122,5 @@ class RustFfiDialect:
             detail=fn.signature(),
         )
 
-    def unit_dependencies(self, request: CheckRequest) -> tuple[str, ...]:
-        """Every ``.rs`` input plus the unit's quoted includes: an edit
-        to the Rust side changes the boundary contract for every unit."""
-        deps: dict[str, None] = {}
-        for source in request.ocaml_sources:
-            deps.setdefault(source.filename)
-        for source in request.c_sources:
-            for header in scan_includes(source.text):
-                deps.setdefault(header)
-        return tuple(deps)
 
-
-RUST_DIALECT = register_dialect(
-    RustFfiDialect(),
-    DialectSpec(
-        name="rust",
-        host_suffixes=(".rs",),
-        unit_suffixes=(".c", ".h"),
-        corpus_unit_suffixes=(".c",),
-        example_dir="examples/rust",
-        link_example_dir="examples/link/rust",
-        bench_module="benchmarks/bench_rust.py",
-    ),
-)
+RUST_DIALECT = register_dialect(RustFfiDialect())

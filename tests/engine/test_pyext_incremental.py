@@ -9,7 +9,7 @@ end to end: editing a quoted header re-checks exactly the dependent
 
 import pytest
 
-from repro.boundary import get_dialect
+from repro.boundary import unit_dependencies
 from repro.cfront.lexer import scan_includes
 from repro.engine import IncrementalEngine
 from repro.engine.jobs import CheckRequest
@@ -68,16 +68,14 @@ class TestUnitDependencies:
         assert scan_includes(STANDALONE) == ()
 
     def test_pyext_unit_dependencies_are_the_quoted_includes(self):
-        dialect = get_dialect("pyext")
         request = CheckRequest(
             name="uses_header.c",
             c_sources=(SourceFile("uses_header.c", USES_HEADER),),
             dialect="pyext",
         )
-        assert dialect.unit_dependencies(request) == ("shared.h",)
+        assert unit_dependencies(request) == ("shared.h",)
 
     def test_jni_unit_dependencies_are_the_quoted_includes(self):
-        dialect = get_dialect("jni")
         request = CheckRequest(
             name="native.c",
             c_sources=(
@@ -87,7 +85,7 @@ class TestUnitDependencies:
             ),
             dialect="jni",
         )
-        assert dialect.unit_dependencies(request) == ("cls.h",)
+        assert unit_dependencies(request) == ("cls.h",)
 
     def test_graph_links_unit_to_header(self, engine):
         (unit,) = [

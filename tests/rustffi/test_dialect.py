@@ -3,7 +3,7 @@
 from pathlib import Path
 
 from repro.api import Project
-from repro.boundary import get_dialect
+from repro.boundary import unit_dependencies
 from repro.diagnostics import Kind
 from repro.source import SourceFile
 
@@ -150,6 +150,6 @@ class TestDependencies:
             SourceFile("glue.c", '#include "local.h"\nint f(void) { return 0; }\n')
         )
         request = project.to_request()
-        deps = get_dialect("rust").unit_dependencies(request)
+        deps = unit_dependencies(request)
         assert "src/lib.rs" in deps
         assert "local.h" in deps

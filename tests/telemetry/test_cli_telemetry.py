@@ -2,6 +2,7 @@
 turning them on never perturbs the analysis output itself."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,16 @@ value ml_get(value x)
 """
 
 BAD_C = "value ml_bad(value x) { return Val_int(x); }\n"
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: every dialect's clean example, as ``check`` arguments
+CLEAN_EXAMPLES = {
+    "ocaml": ["glue/counter.ml", "glue/counter_stubs.c"],
+    "pyext": ["pyext/clean_module.c"],
+    "jni": ["jni/clean_native.c"],
+    "rust": ["rust/clean_bindings/lib.rs", "rust/clean_bindings/glue.c"],
+}
 
 
 @pytest.fixture()
@@ -174,6 +185,31 @@ class TestTraceArtifact:
         (unit,) = [e for e in events if e["cat"] == "unit"]
         assert unit["name"] == "<project>"
         assert unit["args"]["dialect"] == "ocaml"
+
+
+    @pytest.mark.parametrize("dialect", sorted(CLEAN_EXAMPLES))
+    def test_every_dialect_traces_the_same_phases(
+        self, dialect, tmp_path, capsys
+    ):
+        out = tmp_path / "t.json"
+        files = [str(EXAMPLES / name) for name in CLEAN_EXAMPLES[dialect]]
+        code = main(
+            ["check", "--dialect", dialect, *files, "--trace-out", str(out)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        assert {e["name"] for e in events if e["cat"] == "phase"} == {
+            "lex",
+            "parse",
+            "initial-env",
+            "lower",
+            "seed",
+            "dataflow",
+            "unify-constraints",
+            "dialect-passes",
+            "summarize",
+        }
 
 
 class TestMetricsArtifact:

@@ -1,5 +1,7 @@
 """Tests for the high-level API surface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import (
@@ -12,7 +14,11 @@ from repro import (
     analyze_project,
     check_c_source,
 )
+from repro.boundary import get_dialect
+from repro.core.checker import Checker
 from repro.source import count_code_lines
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestProject:
@@ -53,6 +59,45 @@ class TestProject:
         )
         report = project.analyze()
         assert report.errors[0].span.filename == "stubs.c"
+
+
+class TestProjectPhases:
+    """``Project.lower()`` and ``build_initial_env()`` run the project's
+    own dialect: the same parse, ``Γ_I`` and lowering as its analysis."""
+
+    @pytest.mark.parametrize(
+        "dialect, hosts, units, gamma_size",
+        [
+            ("ocaml", ["glue/counter.ml"], ["glue/counter_stubs.c"], 2),
+            ("pyext", [], ["pyext/clean_module.c"], 4),
+            ("jni", [], ["jni/clean_native.c"], 5),
+            (
+                "rust",
+                ["rust/clean_bindings/lib.rs"],
+                ["rust/clean_bindings/glue.c"],
+                0,
+            ),
+        ],
+        ids=["ocaml", "pyext", "jni", "rust"],
+    )
+    def test_phases_follow_the_dialect(self, dialect, hosts, units, gamma_size):
+        project = Project(dialect=dialect)
+        for name in hosts:
+            project.add_ocaml(SourceFile(name, (EXAMPLES / name).read_text()))
+        for name in units:
+            project.add_c(SourceFile(name, (EXAMPLES / name).read_text()))
+        initial_env = project.build_initial_env()
+        assert len(initial_env.functions) == gamma_size
+        report = Checker(
+            project.lower(), initial_env, dialect=get_dialect(dialect)
+        ).run()
+        full = project.analyze()
+        # the clean examples' dialect passes add nothing, so the checker
+        # alone must reproduce the whole analysis
+        assert [d.render() for d in report.diagnostics] == [
+            d.render() for d in full.diagnostics
+        ]
+        assert set(report.signatures) == set(full.signatures)
 
 
 class TestFromDirectoryHardening:

@@ -3,14 +3,24 @@
 import pytest
 
 from repro.boundary import (
+    CORPUS_UNIT_SUFFIXES,
+    UNIT_SUFFIXES,
     BoundaryDialect,
-    DialectSpec,
     available_dialects,
     get_dialect,
-    get_spec,
     register_dialect,
-    spec_of,
+    run_pipeline,
+    unit_dependencies,
 )
+from repro.cfront.lower import lower_unit
+from repro.cfront.parser import parse_c
+from repro.core.checker import InitialEnv
+from repro.diagnostics import DiagnosticBag, Kind
+from repro.engine.jobs import CheckRequest
+from repro.engine.worker import analyze_request
+from repro.linker.summary import InterfaceSummary
+from repro.rules import rules_pack
+from repro.source import DUMMY_SPAN, SourceFile
 
 
 class TestRegistry:
@@ -32,10 +42,13 @@ class TestRegistry:
             assert isinstance(get_dialect(name), BoundaryDialect)
 
     def test_third_dialect_registration(self):
+        """A new dialect is a handful of hooks: this one reads plain C,
+        seeds nothing, and adds one pass, and the shared pipeline does
+        the rest."""
+
         class Stub:
             name = "stub-test-dialect"
             host_suffixes = ()
-            unit_suffixes = (".c",)
 
             def builtin_entries(self):
                 return {}
@@ -49,19 +62,42 @@ class TestRegistry:
             def alloc_result_tags(self):
                 return {}
 
-            def initial_env(self, request):
-                raise NotImplementedError
+            def parse(self, source):
+                return parse_c(source)
+
+            def initial_env(self, request, units):
+                return InitialEnv()
+
+            def lower(self, unit):
+                return lower_unit(unit)
+
+            def passes(self, request, units):
+                bag = DiagnosticBag()
+                for unit in units:
+                    bag.emit(Kind.GLOBAL_VALUE, DUMMY_SPAN, "stub pass ran")
+                return bag.diagnostics
+
+            def summarize(self, request, units):
+                return InterfaceSummary(unit=request.name, dialect=self.name)
 
             def analyze(self, request):
-                raise NotImplementedError
-
-            def unit_dependencies(self, request):
-                return ()
+                return run_pipeline(self, request)
 
         try:
             register_dialect(Stub())
             assert "stub-test-dialect" in available_dialects()
             assert isinstance(get_dialect("stub-test-dialect"), BoundaryDialect)
+            source = SourceFile("unit.c", "long f(long x) { return x; }\n")
+            report = analyze_request(
+                CheckRequest(
+                    name="unit.c",
+                    c_sources=(source,),
+                    dialect="stub-test-dialect",
+                )
+            )
+            assert [d.message for d in report.diagnostics] == ["stub pass ran"]
+            assert "f" in report.signatures
+            assert report.summary["dialect"] == "stub-test-dialect"
         finally:
             from repro import boundary
 
@@ -72,62 +108,52 @@ class TestSuffixMaps:
     def test_ocaml_suffixes(self):
         dialect = get_dialect("ocaml")
         assert dialect.host_suffixes == (".ml", ".mli")
-        assert ".c" in dialect.unit_suffixes
+        assert ".c" in UNIT_SUFFIXES
 
     def test_pyext_has_no_host_side(self):
         dialect = get_dialect("pyext")
         assert dialect.host_suffixes == ()
-        assert ".c" in dialect.unit_suffixes
+        assert ".c" in UNIT_SUFFIXES
 
     def test_jni_has_no_host_side(self):
         dialect = get_dialect("jni")
         assert dialect.host_suffixes == ()
-        assert ".c" in dialect.unit_suffixes
+        assert ".c" in UNIT_SUFFIXES
 
     def test_rust_reads_rs_hosts(self):
         dialect = get_dialect("rust")
         assert dialect.host_suffixes == (".rs",)
-        assert ".c" in dialect.unit_suffixes
+        assert ".c" in UNIT_SUFFIXES
 
 
 class TestDialectSpec:
-    """The declarative capability surface that replaced the scattered
-    getattr probes: every registered dialect carries a spec, and
-    ``spec_of`` normalizes specs, registered dialects, and dialect-like
-    objects to one shape."""
+    """A dialect's spec is the dialect object itself, its only
+    declaration: its name keys the registry and the rule pack, and every
+    dialect reads C through the same suffixes and dependency rule."""
 
     def test_every_builtin_dialect_has_a_spec(self):
         for name in ("ocaml", "pyext", "jni", "rust"):
-            spec = get_spec(name)
-            assert spec.name == name
-            assert spec.corpus_unit_suffixes == (".c",)
-            assert spec.example_dir.startswith("examples/")
-            assert spec.bench_module.startswith("benchmarks/")
-            assert spec.rule_pack == name
-
-    def test_spec_of_normalizes_all_three_shapes(self):
-        spec = get_spec("rust")
-        assert spec_of(spec) is spec
-        assert spec_of("rust") is spec
-        assert spec_of(get_dialect("rust")) is spec
-
-    def test_spec_of_derives_for_unregistered_dialect_likes(self):
-        class Bare:
-            name = "bare"
-            host_suffixes = (".x",)
-            unit_suffixes = (".c", ".h")
-
-        derived = spec_of(Bare())
-        assert derived.name == "bare"
-        assert derived.host_suffixes == (".x",)
-        # headers drop out of the corpus-unit scan by derivation
-        assert derived.corpus_unit_suffixes == (".c",)
+            assert get_dialect(name).name == name
+        assert UNIT_SUFFIXES == (".c", ".h")
+        assert CORPUS_UNIT_SUFFIXES == (".c",)
 
     def test_spec_defaults_rule_pack_to_the_name(self):
-        spec = DialectSpec(
-            name="probe", host_suffixes=(), unit_suffixes=(".c",)
+        for name in ("ocaml", "pyext", "jni", "rust"):
+            assert rules_pack(name)
+            assert {rule.dialect for rule in rules_pack(name)} == {name}
+
+    def test_dependencies_are_hosts_then_quoted_includes(self):
+        request = CheckRequest(
+            name="glue.c",
+            c_sources=(
+                SourceFile(
+                    "glue.c",
+                    '#include <caml/mlvalues.h>\n#include "a.h"\n#include "b.h"\n',
+                ),
+            ),
+            ocaml_sources=(SourceFile("lib.ml", ""), SourceFile("lib.mli", "")),
         )
-        assert spec.rule_pack == "probe"
+        assert unit_dependencies(request) == ("lib.ml", "lib.mli", "a.h", "b.h")
 
 
 class TestSeedIsolation:

@@ -118,6 +118,15 @@ def test_bench_smoke_covers_the_rust_dialect(workflow):
     assert "rust-conformance.sarif" in path
 
 
+def test_bench_smoke_runs_the_repo_benchmark(workflow):
+    # the traced run binds dialect internals by name; CI must exercise it
+    steps = workflow["jobs"]["bench-smoke"]["steps"]
+    runs = " ".join(step.get("run", "") for step in steps)
+    assert "python -m pytest -q perfbench/tests" in runs
+    assert "perfbench/run.py --workload fig9-oneshot" in runs
+    assert "--trace 1" in runs
+
+
 def test_concurrency_cancels_superseded_runs(workflow):
     concurrency = workflow["concurrency"]
     assert concurrency["cancel-in-progress"] is True

@@ -1,45 +1,22 @@
-"""Corpus scanning: dialect-derived unit suffixes and the lazy walk."""
+"""Corpus scanning: the dialect's host suffixes, ``.c`` units, and the
+lazy walk."""
 
 import pytest
 
-from repro.boundary import get_dialect
-from repro.corpus import iter_tree, scan_tree, unit_suffixes
-
-
-class _Spec:
-    """A stub dialect spec with configurable suffix attributes."""
-
-    def __init__(self, **attrs):
-        self.host_suffixes = ()
-        self.unit_suffixes = ()
-        for name, value in attrs.items():
-            setattr(self, name, value)
+from repro.boundary import CORPUS_UNIT_SUFFIXES, get_dialect
+from repro.corpus import iter_tree, scan_tree
 
 
 class TestUnitSuffixes:
-    def test_pinned_corpus_suffixes_win(self):
-        spec = _Spec(
-            corpus_unit_suffixes=(".c", ".cc"),
-            unit_suffixes=(".c", ".h"),
-        )
-        assert unit_suffixes(spec) == (".c", ".cc")
-
-    def test_derived_from_unit_suffixes_minus_headers_and_hosts(self):
-        # satellite fix: scan_tree used to hardcode `.c` regardless of
-        # what the dialect declared
-        spec = _Spec(
-            unit_suffixes=(".c", ".cpp", ".h", ".ml"),
-            host_suffixes=(".ml", ".mli"),
-        )
-        assert unit_suffixes(spec) == (".c", ".cpp")
-
-    def test_falls_back_to_dot_c(self):
-        assert unit_suffixes(_Spec()) == (".c",)
-        assert unit_suffixes(_Spec(unit_suffixes=(".h",))) == (".c",)
-
     @pytest.mark.parametrize("dialect", ["ocaml", "pyext", "jni"])
-    def test_registered_dialects_scan_c_units(self, dialect):
-        assert ".c" in unit_suffixes(get_dialect(dialect))
+    def test_registered_dialects_scan_c_units(self, dialect, tree):
+        assert CORPUS_UNIT_SUFFIXES == (".c",)
+        scan = scan_tree(tree, get_dialect(dialect))
+        # headers and strays are not units, whatever the dialect
+        assert sorted(u.filename.rsplit("/", 1)[-1] for u in scan.units) == [
+            "a.c",
+            "b.c",
+        ]
 
 
 @pytest.fixture()
@@ -96,13 +73,10 @@ class TestScanTree:
             u.filename for u in lazy.iter_units()
         ]
 
-    def test_respects_dialect_suffixes_not_hardcoded_c(self, tree):
-        (tree / "extra.cc").write_text("long g(long x) { return x; }\n")
-        spec = _Spec(
-            corpus_unit_suffixes=(".cc",),
-            host_suffixes=(".ml", ".mli"),
-        )
-        scan = scan_tree(tree, spec)
-        assert [u.filename.rsplit("/", 1)[-1] for u in scan.units] == [
-            "extra.cc"
-        ]
+    def test_host_suffixes_follow_the_dialect(self, tree):
+        (tree / "lib.rs").write_text('extern "C" { fn f() -> i32; }\n')
+        rust = scan_tree(tree, get_dialect("rust"))
+        ocaml = scan_tree(tree, get_dialect("ocaml"))
+        assert [s.filename.rsplit("/", 1)[-1] for s in rust.hosts] == ["lib.rs"]
+        assert [s.filename.rsplit("/", 1)[-1] for s in ocaml.hosts] == ["lib.ml"]
+        assert [u.filename for u in rust.units] == [u.filename for u in ocaml.units]
