@@ -33,14 +33,15 @@ the shared type repository, every ``.c`` is an independently analyzed (and
 content-hash cached) translation unit fanned out across a worker pool.
 ``batch --link`` follows the sweep with the whole-program link pass
 (cross-unit ``LINK_*`` diagnostics over per-unit interface summaries);
-``--stream`` swaps the materializing scheduler for the bounded-memory
-pipeline, so RSS stays flat on 10k–100k unit corpora.  ``link`` is the
-streaming sweep + link pass as one command.  ``serve`` keeps the
-analysis resident and answers newline-delimited JSON-RPC on stdio or
-TCP; ``watch`` polls the tree and incrementally re-checks on every
-change.  ``rules`` lists the stable rule registry (every diagnostic
-kind's public ID, severity, and guideline provenance; see
-:mod:`repro.rules`); ``conformance`` sweeps and links a corpus like
+``--stream`` bounds the in-flight window, so RSS stays flat on 10k–100k
+unit corpora, and prints JSON lines.  ``link`` is the streaming sweep +
+link pass as one command.  ``batch``, ``link`` and ``conformance`` run
+one sweep driver (:func:`_sweep`) and differ only in rendering.
+``serve`` keeps the analysis resident and answers newline-delimited
+JSON-RPC on stdio or TCP; ``watch`` polls the tree and incrementally
+re-checks on every change.  ``rules`` lists the stable rule registry
+(every diagnostic kind's public ID, severity, and guideline provenance;
+see :mod:`repro.rules`); ``conformance`` sweeps and links a corpus like
 ``link`` but reports *by rule* — every rule of the dialect's pack (and
 the link pack) with its finding count and pass/fail status, the shape
 a safety-guideline audit wants.  ``bench`` regenerates the Figure 9
@@ -58,7 +59,7 @@ import contextlib
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .api import Project
@@ -72,6 +73,7 @@ from .engine import (
     IncrementalEngine,
     NullCache,
     ResultCache,
+    StreamStats,
     render_unit,
     stream_batch,
 )
@@ -159,7 +161,8 @@ def _profiled(args: argparse.Namespace, run):
     Stats go to stderr (or PATH) so machine-readable stdout formats stay
     parseable; future perf work starts from a profile, not guesswork.
     """
-    if args.profile is None:
+    profile = getattr(args, "profile", None)
+    if profile is None:
         return run()
     import cProfile
     import io
@@ -175,11 +178,11 @@ def _profiled(args: argparse.Namespace, run):
         stats = pstats.Stats(profiler, stream=stream)
         stats.strip_dirs().sort_stats("cumulative").print_stats(25)
         text = stream.getvalue()
-        if args.profile == "-":
+        if profile == "-":
             sys.stderr.write(text)
         else:
-            Path(args.profile).write_text(text)
-            print(f"profile written to {args.profile}", file=sys.stderr)
+            Path(profile).write_text(text)
+            print(f"profile written to {profile}", file=sys.stderr)
 
 
 def _add_strict_flag(command: argparse.ArgumentParser) -> None:
@@ -218,6 +221,24 @@ def _add_telemetry_flags(
             help="enable the metrics registry and write a Prometheus "
             "text exposition to FILE when the run finishes",
         )
+
+
+def _add_sweep_flags(
+    command: argparse.ArgumentParser,
+    directory_help: str,
+    *,
+    telemetry: bool = True,
+) -> None:
+    """The flags every corpus sweep (``batch``, ``link``,
+    ``conformance``) shares, in their ``--help`` order."""
+    command.add_argument("directory", help=directory_help)
+    _add_dialect_flag(command)
+    _add_jobs_flag(command)
+    _add_cache_flags(command)
+    _add_strict_flag(command)
+    if telemetry:
+        _add_profile_flag(command)
+        _add_telemetry_flags(command)
 
 
 @contextlib.contextmanager
@@ -287,6 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="analyze host + C sources")
+    check.set_defaults(run=_run_check)
     check.add_argument(
         "files",
         nargs="+",
@@ -318,17 +340,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="analyze every translation unit under a directory, in parallel "
         "and with content-hash caching",
     )
-    batch.add_argument(
-        "directory",
-        help="root to scan: host sources feed the shared type repository, "
+    batch.set_defaults(run=_run_batch)
+    _add_sweep_flags(
+        batch,
+        "root to scan: host sources feed the shared type repository, "
         "each .c file becomes one translation unit",
     )
-    _add_dialect_flag(batch)
-    _add_jobs_flag(batch)
-    _add_cache_flags(batch)
-    _add_strict_flag(batch)
-    _add_profile_flag(batch)
-    _add_telemetry_flags(batch)
     batch.add_argument(
         "--format",
         choices=("text", "json", "sarif"),
@@ -366,16 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "inconsistencies (conflicting declarations, duplicate "
         "registrations, unresolved externs)",
     )
-    link.add_argument(
-        "directory",
-        help="corpus root to scan, check, and link",
-    )
-    _add_dialect_flag(link)
-    _add_jobs_flag(link)
-    _add_cache_flags(link)
-    _add_strict_flag(link)
-    _add_profile_flag(link)
-    _add_telemetry_flags(link)
+    link.set_defaults(run=_run_link)
+    _add_sweep_flags(link, "corpus root to scan, check, and link")
     _add_ablation_flags(link)
     link.add_argument(
         "--format",
@@ -402,6 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="persistent analysis daemon: newline-delimited JSON-RPC over "
         "stdio (default) or TCP, re-checking only what changed",
     )
+    serve.set_defaults(run=_run_serve)
     serve.add_argument(
         "directory",
         help="project root the resident engine keeps warm",
@@ -453,6 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "watch",
         help="poll the tree and incrementally re-check on every change",
     )
+    watch.set_defaults(run=_run_watch)
     watch.add_argument(
         "directory",
         help="project root to watch",
@@ -481,6 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list the stable rule registry: every diagnostic kind's "
         "public ID, default severity, summary, and guideline provenance",
     )
+    rules.set_defaults(run=_run_rules)
     rules.add_argument(
         "--dialect",
         choices=RULE_REGISTRY.dialects(),
@@ -501,14 +513,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "the dialect's pack (plus the link pack) with its finding count "
         "and pass/fail status",
     )
-    conformance.add_argument(
-        "directory",
-        help="corpus root to scan, check, link, and audit",
+    conformance.set_defaults(run=_run_conformance)
+    _add_sweep_flags(
+        conformance,
+        "corpus root to scan, check, link, and audit",
+        telemetry=False,
     )
-    _add_dialect_flag(conformance)
-    _add_jobs_flag(conformance)
-    _add_cache_flags(conformance)
-    _add_strict_flag(conformance)
     _add_ablation_flags(conformance)
     conformance.add_argument(
         "--format",
@@ -526,6 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     bench = sub.add_parser("bench", help="regenerate the Figure 9 table")
+    bench.set_defaults(run=_run_bench)
     bench.add_argument(
         "--program", help="run a single benchmark by name", default=None
     )
@@ -540,6 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="precompute seed artifacts so fresh workers load instead of "
         "rebuilding",
     )
+    warmup.set_defaults(run=_run_warmup)
     warmup.add_argument(
         "directory",
         nargs="?",
@@ -555,7 +567,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format",
     )
 
-    sub.add_parser("example", help="run the paper's Figure 2 example")
+    example = sub.add_parser("example", help="run the paper's Figure 2 example")
+    example.set_defaults(run=_run_example)
     return parser
 
 
@@ -650,30 +663,35 @@ def _run_check(args: argparse.Namespace) -> int:
     return _exit_code(report.tally(), args.strict)
 
 
-def _combined_tally(*tallies: dict) -> dict:
-    """Sum Figure-9 tallies (per-unit sweep + link pass)."""
-    total: dict = {}
-    for tally in tallies:
-        for column, count in tally.items():
-            total[column] = total.get(column, 0) + count
-    return total
+class _Swept(NamedTuple):
+    """What one corpus sweep leaves for its command to render."""
+
+    stats: StreamStats
+    link: Optional["LinkReport"]
+    telemetry: Optional[dict]
+    code: int
+
+    def document(self, doc: dict) -> dict:
+        """``doc`` plus the link and telemetry stanzas, where present."""
+        if self.link is not None:
+            doc["link"] = self.link.to_dict()
+        if self.telemetry is not None:
+            doc["telemetry"] = self.telemetry
+        return doc
 
 
-def _link_results(results) -> "LinkReport":
-    """Run the link pass over finished results' interface summaries."""
-    from .linker import Linker
+def _sweep(
+    args: argparse.Namespace, phase: str, on_result, *, link: bool = False
+) -> Optional[_Swept]:
+    """The one corpus sweep behind ``batch``, ``link`` and ``conformance``.
 
-    linker = Linker()
-    for result in results:
-        if result.failure is None and result.summary:
-            linker.add_dict(result.summary)
-    return linker.report()
-
-
-def _stream_scan(args: argparse.Namespace):
-    """The lazy corpus behind ``batch --stream`` and ``link``: eager
-    hosts, a unit-path list, and a request generator that loads one
-    source at a time.  Returns ``None`` (after printing) on a bad tree.
+    Scans the tree (hosts eager, units lazy), streams every unit through
+    :func:`~repro.engine.stream_batch` inside the ``phase`` span, runs the
+    link pass when asked, and writes the metrics the flags asked for.
+    ``on_result`` sees each unit once, in order.  The exit code is 125 on
+    any unit failure, else the combined tally's.  Returns ``None`` (after
+    printing) when the tree holds no ``.c`` path at all; a tree whose
+    units were all skipped is a 0-unit sweep, not an error.
     """
     root = Path(args.directory)
     if not root.is_dir():
@@ -682,214 +700,132 @@ def _stream_scan(args: argparse.Namespace):
     scan = iter_tree(root, get_dialect(args.dialect))
     if not len(scan):
         print(
-            f"error: no translation units under {args.directory}",
+            f"error: no .c translation units under {args.directory}",
             file=sys.stderr,
         )
         return None
     hosts = tuple(scan.hosts)
     options = _options(args)
+    cache = _make_cache(args)
+    from .linker import Linker
 
-    def requests(trace: bool = False):
-        for source in scan.iter_units():
-            yield CheckRequest(
+    linker = Linker() if link else None
+
+    def observe(result) -> None:
+        if linker is not None and result.failure is None and result.summary:
+            linker.add_dict(result.summary)
+        on_result(result)
+
+    with _telemetry(args) as tracer:
+        requests = (
+            CheckRequest(
                 name=source.filename,
                 c_sources=(source,),
                 ocaml_sources=hosts,
                 options=options,
                 dialect=args.dialect,
-                trace=trace,
+                trace=tracer is not None,
             )
+            for source in scan.iter_units()
+        )
 
-    return requests
+        def run():
+            with span(phase, cat="phase"):
+                return stream_batch(
+                    requests,
+                    jobs=args.jobs,
+                    cache=cache,
+                    on_result=observe,
+                    window=args.window or None,
+                )
+
+        stats = _profiled(args, run)
+        link_report = None
+        if linker is not None:
+            with span("link", cat="phase"):
+                link_report = linker.report()
+        if getattr(args, "metrics_out", None):
+            run_stats = {**stats.to_dict(), "coalesced": stats.coalesced}
+            _write_metrics(args.metrics_out, cache, run_stats=run_stats)
+        telemetry = _telemetry_stanza(tracer)
+    tally = dict(stats.tally)
+    if link_report is not None:
+        for column, count in link_report.tally().items():
+            tally[column] += count
+    code = 125 if stats.failures else _exit_code(tally, args.strict)
+    return _Swept(stats, link_report, telemetry, code)
 
 
-def _run_batch_stream(args: argparse.Namespace) -> int:
-    """``batch --stream``: the bounded-memory sweep, batch-flavoured."""
-    if args.format == "sarif":
+def _run_batch(args: argparse.Namespace) -> int:
+    """``batch``: eager (one report) or ``--stream`` (JSON lines)."""
+    if args.stream and args.format == "sarif":
         print(
             "error: --stream cannot accumulate a sarif log; "
             "use --format text or json",
             file=sys.stderr,
         )
         return 125
-    requests = _stream_scan(args)
-    if requests is None:
-        return 125
-    cache = _make_cache(args)
-    from .linker import Linker
-
-    linker = Linker() if args.link else None
+    # only the eager json/sarif documents need every result at once
+    results = [] if args.format != "text" and not args.stream else None
 
     def on_result(result) -> None:
-        if linker is not None and result.failure is None and result.summary:
-            linker.add_dict(result.summary)
-        if args.format == "json":
+        if results is not None:
+            results.append(result)
+        elif args.format == "json":
             print(json.dumps(result.to_dict(), sort_keys=True))
         else:
             print("\n".join(render_unit(result)))
 
-    with _telemetry(args) as tracer:
-
-        def run():
-            with span("batch", cat="phase"):
-                return stream_batch(
-                    requests(trace=tracer is not None),
-                    jobs=args.jobs,
-                    cache=cache,
-                    on_result=on_result,
-                    window=args.window or None,
-                )
-
-        stats = _profiled(args, run)
-        link_report = linker.report() if linker is not None else None
-        if args.metrics_out:
-            _write_metrics(
-                args.metrics_out, cache, run_stats=stats.to_dict()
-            )
-        telemetry = _telemetry_stanza(tracer)
-    if args.format == "json":
-        trailer: dict = {"stream": stats.to_dict()}
-        if link_report is not None:
-            trailer["link"] = link_report.to_dict()
-        if telemetry is not None:
-            trailer["telemetry"] = telemetry
-        print(json.dumps(trailer, sort_keys=True))
-    else:
-        if link_report is not None:
-            print(link_report.render())
-        print(stats.render())
-    if stats.failures:
+    swept = _sweep(args, "batch", on_result, link=args.link)
+    if swept is None:
         return 125
-    tallies = [stats.tally]
-    if link_report is not None:
-        tallies.append(link_report.tally())
-    return _exit_code(_combined_tally(*tallies), args.strict)
-
-
-def _run_batch(args: argparse.Namespace) -> int:
-    if args.stream:
-        return _run_batch_stream(args)
-    root = Path(args.directory)
-    if not root.is_dir():
-        print(f"error: no such directory: {args.directory}", file=sys.stderr)
-        return 125
-    project = Project.from_directory(root, dialect=args.dialect)
-    if not project.c_sources:
-        print(
-            f"error: no .c translation units under {args.directory}",
-            file=sys.stderr,
-        )
-        return 125
-    cache = _make_cache(args)
-    with _telemetry(args) as tracer:
-
-        def run():
-            with span("batch", cat="phase"):
-                return project.analyze_batch(
-                    _options(args),
-                    jobs=args.jobs,
-                    cache=cache,
-                    trace=tracer is not None,
-                )
-
-        report = _profiled(args, run)
-        link_report = _link_results(report.results) if args.link else None
-        if args.metrics_out:
-            _write_metrics(
-                args.metrics_out,
-                cache,
-                run_stats={
-                    "units": len(report.results),
-                    "failures": report.failures,
-                    "coalesced": report.coalesced,
-                    "elapsed_seconds": report.elapsed_seconds,
-                    "jobs": report.jobs,
-                },
-            )
-        telemetry = _telemetry_stanza(tracer)
+    stats, link_report = swept.stats, swept.link
     if args.format == "sarif":
         log = batch_sarif_log(
-            report,
+            stats.batch_report(results),
             tool_version=__version__,
             link_diagnostics=(
                 list(link_report.diagnostics) if link_report else ()
             ),
         )
         print(json.dumps(log, indent=2, sort_keys=True))
+    elif args.format == "json" and args.stream:
+        trailer = swept.document({"stream": stats.to_dict()})
+        print(json.dumps(trailer, sort_keys=True))
     elif args.format == "json":
-        doc = report.to_dict()
-        if link_report is not None:
-            doc["link"] = link_report.to_dict()
-        if telemetry is not None:
-            doc["telemetry"] = telemetry
+        doc = swept.document(stats.batch_report(results).to_dict())
         print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(report.render())
+    elif args.stream:
         if link_report is not None:
             print(link_report.render())
-    if report.failures:
-        return 125
-    tallies = [report.tally()]
-    if link_report is not None:
-        tallies.append(link_report.tally())
-    return _exit_code(_combined_tally(*tallies), args.strict)
+        print(stats.render())
+    else:
+        print(stats.render())
+        if link_report is not None:
+            print(link_report.render())
+    return swept.code
 
 
 def _run_link(args: argparse.Namespace) -> int:
     """``mlffi-check link``: stream-check the corpus, then link it."""
-    requests = _stream_scan(args)
-    if requests is None:
-        return 125
-    cache = _make_cache(args)
-    from .linker import Linker
-
-    linker = Linker()
 
     def on_result(result) -> None:
-        if result.failure is None and result.summary:
-            linker.add_dict(result.summary)
         if args.format == "text" and not args.quiet:
             print("\n".join(render_unit(result)))
 
-    with _telemetry(args) as tracer:
-
-        def run():
-            with span("link-sweep", cat="phase"):
-                return stream_batch(
-                    requests(trace=tracer is not None),
-                    jobs=args.jobs,
-                    cache=cache,
-                    on_result=on_result,
-                    window=args.window or None,
-                )
-
-        stats = _profiled(args, run)
-        with span("link", cat="phase"):
-            link_report = linker.report()
-        if args.metrics_out:
-            _write_metrics(
-                args.metrics_out, cache, run_stats=stats.to_dict()
-            )
-        telemetry = _telemetry_stanza(tracer)
+    swept = _sweep(args, "link-sweep", on_result, link=True)
+    if swept is None:
+        return 125
     if args.format == "sarif":
-        log = sarif_log(link_report.diagnostics, tool_version=__version__)
+        log = sarif_log(swept.link.diagnostics, tool_version=__version__)
         print(json.dumps(log, indent=2, sort_keys=True))
     elif args.format == "json":
-        doc = {
-            "stream": stats.to_dict(),
-            "link": link_report.to_dict(),
-        }
-        if telemetry is not None:
-            doc["telemetry"] = telemetry
+        doc = swept.document({"stream": swept.stats.to_dict()})
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(link_report.render())
-        print(stats.render())
-    if stats.failures:
-        return 125
-    return _exit_code(
-        _combined_tally(stats.tally, link_report.tally()), args.strict
-    )
+        print(swept.link.render())
+        print(swept.stats.render())
+    return swept.code
 
 
 def _run_rules(args: argparse.Namespace) -> int:
@@ -933,37 +869,19 @@ def _conformance_rows(
 
 def _run_conformance(args: argparse.Namespace) -> int:
     """``mlffi-check conformance``: the link sweep, reported by rule."""
-    requests = _stream_scan(args)
-    if requests is None:
-        return 125
-    cache = _make_cache(args)
-    from .linker import Linker
-
-    linker = Linker()
-    fired: dict[str, int] = {}
     findings: list = []
-
-    def record(diag) -> None:
+    swept = _sweep(
+        args,
+        "conformance-sweep",
+        lambda result: findings.extend(result.diagnostics),
+        link=True,
+    )
+    if swept is None:
+        return 125
+    findings.extend(swept.link.diagnostics)
+    fired: dict[str, int] = {}
+    for diag in findings:
         fired[diag.rule_id] = fired.get(diag.rule_id, 0) + 1
-        findings.append(diag)
-
-    def on_result(result) -> None:
-        if result.failure is None and result.summary:
-            linker.add_dict(result.summary)
-        for diag in result.diagnostics:
-            record(diag)
-
-    with span("conformance-sweep", cat="phase"):
-        stats = stream_batch(
-            requests(),
-            jobs=args.jobs,
-            cache=cache,
-            on_result=on_result,
-            window=args.window or None,
-        )
-    link_report = linker.report()
-    for diag in link_report.diagnostics:
-        record(diag)
     rows = _conformance_rows(args.dialect, fired)
 
     def status(rule, count: int) -> str:
@@ -976,13 +894,8 @@ def _run_conformance(args: argparse.Namespace) -> int:
         return "info"
 
     if args.format == "sarif":
-        print(
-            json.dumps(
-                sarif_log(findings, tool_version=__version__),
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        log = sarif_log(findings, tool_version=__version__)
+        print(json.dumps(log, indent=2, sort_keys=True))
     elif args.format == "json":
         doc = {
             "conformance": {
@@ -997,10 +910,9 @@ def _run_conformance(args: argparse.Namespace) -> int:
                     for rule, count in rows
                 ],
             },
-            "stream": stats.to_dict(),
-            "link": link_report.to_dict(),
+            "stream": swept.stats.to_dict(),
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(swept.document(doc), indent=2, sort_keys=True))
     else:
         print(f"== conformance: {args.directory} (dialect {args.dialect})")
         for rule, count in rows:
@@ -1012,14 +924,10 @@ def _run_conformance(args: argparse.Namespace) -> int:
         )
         total = sum(count for _rule, count in rows)
         print(
-            f"-- conformance: {stats.units} unit(s), {len(rows)} rule(s) "
-            f"checked, {failing} failing, {total} finding(s)"
+            f"-- conformance: {swept.stats.units} unit(s), {len(rows)} "
+            f"rule(s) checked, {failing} failing, {total} finding(s)"
         )
-    if stats.failures:
-        return 125
-    return _exit_code(
-        _combined_tally(stats.tally, link_report.tally()), args.strict
-    )
+    return swept.code
 
 
 def _build_engine(args: argparse.Namespace) -> Optional[IncrementalEngine]:
@@ -1162,7 +1070,7 @@ value ml_examine(value x)
 """
 
 
-def _run_example() -> int:
+def _run_example(args: argparse.Namespace) -> int:
     project = Project().add_ocaml(_EXAMPLE_ML).add_c(_EXAMPLE_C)
     report = project.analyze()
     print("Figure 2 example (correct tag dispatch):")
@@ -1189,14 +1097,10 @@ def _run_warmup(args: argparse.Namespace) -> int:
     if args.directory is not None:
         root = Path(args.directory)
         if not root.is_dir():
-            print(f"error: `{root}` is not a directory", file=sys.stderr)
-            return 2
-        dialect = get_dialect(args.dialect)
-        host_sources = tuple(
-            SourceFile(str(path), path.read_text())
-            for path in sorted(root.rglob("*"))
-            if path.is_file() and path.suffix in dialect.host_suffixes
-        )
+            print(f"error: no such directory: {args.directory}", file=sys.stderr)
+            return 125
+        # the sweep's own host set, so the artifact is the one it asks for
+        host_sources = tuple(iter_tree(root, get_dialect(args.dialect)).hosts)
         report["hosts"] = seeds.warmup_hosts(args.dialect, host_sources)
     report["pruned"] = seeds.prune_artifacts()
     if args.format == "json":
@@ -1226,27 +1130,7 @@ def _run_warmup(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "check":
-        return _run_check(args)
-    if args.command == "batch":
-        return _run_batch(args)
-    if args.command == "link":
-        return _run_link(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "watch":
-        return _run_watch(args)
-    if args.command == "rules":
-        return _run_rules(args)
-    if args.command == "conformance":
-        return _run_conformance(args)
-    if args.command == "bench":
-        return _run_bench(args)
-    if args.command == "warmup":
-        return _run_warmup(args)
-    if args.command == "example":
-        return _run_example()
-    return 125
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ One place decides what a corpus is: host-language sources (the dialect's
 files that cannot be decoded or have no content are skipped with a
 :class:`UserWarning` — a stray binary or an empty placeholder must not
 sink a sweep.  :meth:`repro.api.Project.from_directory`,
-:meth:`repro.engine.IncrementalEngine.reload` and the streaming link
-driver all go through here, so batch mode and the persistent service can
-never disagree about which files a tree contains.
+:meth:`repro.engine.IncrementalEngine.reload`, the CLI's sweep driver
+and ``warmup`` all go through here, so batch mode, the persistent service
+and the seed artifacts can never disagree about which files a tree
+contains.
 
 Two entry points share the walk: :func:`scan_tree` materializes every
 source (the classic batch path), and :func:`iter_tree` loads only the

@@ -1,12 +1,14 @@
-"""Batch-analysis engine: jobs, scheduling, caching, and incrementality.
+"""Batch-analysis engine: jobs, the sweep loop, caching, and incrementality.
 
 Turns the single-shot two-phase pipeline into a scalable driver: translation
-units become :class:`CheckRequest` jobs, a scheduler fans them out across a
-worker pool, a content-hash :class:`ResultCache` skips unchanged units, and
-the per-unit outcomes merge into one Figure-9-style :class:`BatchReport`.
-On top of that, :class:`IncrementalEngine` keeps a corpus resident with a
-dependency graph and an in-memory result tier, so the analysis service
-(:mod:`repro.server`) re-checks only what an edit affected.
+units become :class:`CheckRequest` jobs, and one sweep loop
+(:func:`stream_batch`) probes a content-hash :class:`ResultCache`, coalesces
+duplicates, fans the misses out across a worker pool, and hands each result
+on in submission order.  :func:`run_batch` collects that loop into one
+Figure-9-style :class:`BatchReport`.  On top of that,
+:class:`IncrementalEngine` keeps a corpus resident with a dependency graph
+and an in-memory result tier, so the analysis service (:mod:`repro.server`)
+re-checks only what an edit affected.
 """
 
 from .cache import (
@@ -27,12 +29,13 @@ from .jobs import (
     BatchReport,
     CheckRequest,
     CheckResult,
+    StreamStats,
     options_fingerprint,
     render_unit,
     repository_fingerprint,
 )
 from .scheduler import default_jobs, run_batch
-from .stream import StreamStats, stream_batch
+from .stream import stream_batch
 from .worker import analyze_request, run_request
 
 __all__ = [

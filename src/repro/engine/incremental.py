@@ -15,10 +15,11 @@ service.  An :class:`IncrementalEngine` keeps a whole corpus resident:
   cold-start tier.
 
 Both entry points funnel into the same code path: :meth:`check` submits
-only the dirty units to :func:`repro.engine.scheduler.run_batch` (the
-batch scheduler), so parallel fan-out, cache probing, and deterministic
-merging behave identically in ``mlffi-check batch``, ``mlffi-check
-serve``, and ``mlffi-check watch``.
+only the dirty units to :func:`repro.engine.scheduler.run_batch`, which
+collects the one sweep loop (:func:`repro.engine.stream.stream_batch`)
+that ``mlffi-check batch``, ``link`` and ``conformance`` run too, so
+parallel fan-out, cache probing, coalescing, and deterministic ordering
+behave identically in every mode, ``serve`` and ``watch`` included.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ can cross process boundaries and survive on disk between runs.
 
 A :class:`BatchReport` merges per-unit results into one Figure-9-style
 tally, in deterministic (submission) order regardless of which worker
-finished first.
+finished first.  :class:`StreamStats` is what a sweep keeps when it does
+not keep results: the counts behind the same footer.
 """
 
 from __future__ import annotations
@@ -273,23 +274,18 @@ class BatchReport:
 
     def render(self) -> str:
         """Figure-9-style aggregate, one block per unit plus the tally."""
-        lines: list[str] = []
-        for result in self.results:
-            lines.extend(render_unit(result))
-        counts = self.tally()
-        evicted = (
-            f", {self.cache_evictions} evicted" if self.cache_evictions else ""
+        lines = [line for result in self.results for line in render_unit(result)]
+        footer = StreamStats(
+            units=len(self.results),
+            cache_hits=self.cache_hits,
+            analyzed=self.cache_misses,
+            coalesced=self.coalesced,
+            cache_evictions=self.cache_evictions,
+            tally=self.tally(),
+            elapsed_seconds=self.elapsed_seconds,
+            jobs=self.jobs,
         )
-        shared = f", {self.coalesced} coalesced" if self.coalesced else ""
-        lines.append(
-            f"-- {len(self.results)} unit(s): {counts['errors']} error(s), "
-            f"{counts['warnings']} warning(s), "
-            f"{counts['false_positives']} false-positive-prone report(s), "
-            f"{counts['imprecision']} imprecision warning(s) "
-            f"[{self.cache_hits} cached, {self.cache_misses} analyzed"
-            f"{shared}{evicted}, "
-            f"jobs={self.jobs}] in {self.elapsed_seconds:.2f}s"
-        )
+        lines.append(footer.render())
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -306,3 +302,73 @@ class BatchReport:
             "jobs": self.jobs,
             "elapsed_seconds": self.elapsed_seconds,
         }
+
+
+@dataclass
+class StreamStats:
+    """What a sweep kept: counts, never results."""
+
+    units: int = 0
+    cache_hits: int = 0
+    analyzed: int = 0
+    #: duplicates served a copy of a still-pending fresh run
+    coalesced: int = 0
+    failures: int = 0
+    tally: dict[str, int] = field(
+        default_factory=lambda: DiagnosticBag().tally()
+    )
+    elapsed_seconds: float = 0.0
+    jobs: int = 1
+    #: LRU evictions the cache performed while the sweep stored results
+    cache_evictions: int = 0
+
+    def absorb(self, result: CheckResult) -> None:
+        self.units += 1
+        if result.from_cache:
+            self.cache_hits += 1
+        elif result.cache_tier == "coalesced":
+            self.coalesced += 1
+        else:
+            self.analyzed += 1
+        if result.failure is not None:
+            self.failures += 1
+        for column, count in result.tally().items():
+            self.tally[column] += count
+
+    def render(self) -> str:
+        """The one sweep footer, shared with :meth:`BatchReport.render`."""
+        shared = f", {self.coalesced} coalesced" if self.coalesced else ""
+        evicted = (
+            f", {self.cache_evictions} evicted" if self.cache_evictions else ""
+        )
+        return (
+            f"-- {self.units} unit(s): {self.tally['errors']} error(s), "
+            f"{self.tally['warnings']} warning(s), "
+            f"{self.tally['false_positives']} false-positive-prone "
+            f"report(s), "
+            f"{self.tally['imprecision']} imprecision warning(s) "
+            f"[{self.cache_hits} cached, {self.analyzed} analyzed"
+            f"{shared}{evicted}, "
+            f"jobs={self.jobs}] in {self.elapsed_seconds:.2f}s"
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "units": self.units,
+            "tally": dict(self.tally),
+            "cache": {"hits": self.cache_hits},
+            "analyzed": self.analyzed,
+            "failures": self.failures,
+            "jobs": self.jobs,
+            "elapsed_seconds": self.elapsed_seconds,
+        }
+
+    def batch_report(self, results: list[CheckResult]) -> BatchReport:
+        """The swept ``results`` (collected in order) as one report."""
+        return BatchReport(
+            results=results,
+            elapsed_seconds=self.elapsed_seconds,
+            jobs=self.jobs,
+            cache_evictions=self.cache_evictions,
+            coalesced=self.coalesced,
+        )

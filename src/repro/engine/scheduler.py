@@ -1,56 +1,21 @@
-"""Batch scheduler: cache lookup, worker fan-out, deterministic merge.
+"""Batch scheduler: the sweep loop, collected into one report.
 
-The scheduler is the seam the ROADMAP's scaling work builds on.  Given a
-sequence of :class:`~repro.engine.jobs.CheckRequest` it
-
-1. probes the result cache with each request's content hash — hits are
-   never re-analyzed;
-2. fans the misses out across a ``multiprocessing`` pool (``jobs > 1``) or
-   runs them inline (``jobs == 1``, or whenever a pool cannot be created —
-   sandboxes without semaphores, restricted platforms — in which case it
-   degrades to sequential rather than failing);
-3. stores fresh results back into the cache and merges everything into a
-   :class:`~repro.engine.jobs.BatchReport` in submission order, so output
-   is deterministic no matter which worker finished first.
+:func:`run_batch` hands a materialized request sequence to
+:func:`repro.engine.stream.stream_batch` with a window as large as the
+input, so every request stays pending until the input ends: duplicates
+anywhere in the batch coalesce, the pool is sized by the batch's misses,
+and the results merge into a :class:`~repro.engine.jobs.BatchReport` in
+submission order, deterministic no matter which worker finished first.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
-from ..telemetry import current_tracer, span
-from ..telemetry.metrics import count_cache, observe_unit
 from .jobs import BatchReport, CheckRequest, CheckResult
-from .worker import run_request
+from .stream import Cache, default_jobs, stream_batch
 
-
-class Cache(Protocol):
-    def load(self, key: str) -> Optional[CheckResult]: ...
-
-    def store(self, key: str, result: CheckResult) -> None: ...
-
-
-def default_jobs() -> int:
-    """A sensible worker count for ``--jobs 0`` (auto)."""
-    return max(1, min(8, os.cpu_count() or 1))
-
-
-def _run_pool(
-    requests: Sequence[tuple[CheckRequest, str]], jobs: int
-) -> Optional[list[CheckResult]]:
-    """Fan out across processes; ``None`` means 'pool unavailable, go
-    sequential'."""
-    import multiprocessing
-
-    try:
-        context = multiprocessing.get_context()
-        chunksize = max(1, len(requests) // (jobs * 4))
-        with context.Pool(processes=jobs) as pool:
-            return pool.starmap(run_request, requests, chunksize=chunksize)
-    except (ImportError, OSError, PermissionError, ValueError):
-        return None
+__all__ = ["Cache", "default_jobs", "run_batch"]
 
 
 def run_batch(
@@ -60,90 +25,12 @@ def run_batch(
     cache: Optional[Cache] = None,
 ) -> BatchReport:
     """Analyze ``requests`` and merge their results into one report."""
-    started = time.perf_counter()
-    if jobs <= 0:
-        jobs = default_jobs()
-
-    results: dict[int, CheckResult] = {}
-    pending: list[tuple[int, CheckRequest, str]] = []
-    for index, request in enumerate(requests):
-        if cache is None:
-            # cacheless sweeps skip content hashing entirely; "" marks the
-            # result as unkeyed
-            pending.append((index, request, ""))
-            continue
-        probe_started = time.perf_counter()
-        key = request.cache_key()
-        cached = cache.load(key)
-        if cached is not None:
-            cached.name = request.name  # cache files are key-addressed
-            # a hit's wall time is what the batch actually paid: the
-            # probe — recorded on both fields, because a replayed entry
-            # arrives with the *original* run's wall_seconds overwritten
-            # while probe_seconds is the only always-fresh, always-
-            # nonzero cost of serving it
-            probe = time.perf_counter() - probe_started
-            cached.wall_seconds = probe
-            cached.probe_seconds = probe
-            count_cache(cached.cache_tier, hit=True)
-            observe_unit(request.dialect, probe, fresh=False)
-            results[index] = cached
-        else:
-            count_cache("", hit=False)
-            pending.append((index, request, key))
-
-    # intra-batch coalescing: two requests with the same cache key are
-    # provably the same analysis (content, dialect, options), so only the
-    # first is submitted and the rest receive copies of its result —
-    # the batch-level face of the service's request coalescing
-    unique: list[tuple[int, CheckRequest, str]] = []
-    duplicates: list[tuple[int, CheckRequest, str]] = []
-    seen: set[str] = set()
-    for index, request, key in pending:
-        if key and key in seen:
-            duplicates.append((index, request, key))
-        else:
-            if key:
-                seen.add(key)
-            unique.append((index, request, key))
-
-    fresh: Optional[list[CheckResult]] = None
-    worker_count = min(jobs, len(unique))
-    with span("analyze", cat="phase", units=len(unique)):
-        if worker_count > 1:
-            fresh = _run_pool(
-                [(req, key) for _, req, key in unique], worker_count
-            )
-        if fresh is None:
-            fresh = [run_request(req, key) for _, req, key in unique]
-
-    tracer = current_tracer()
-    evictions_before = getattr(cache, "evictions", 0)
-    by_key: dict[str, CheckResult] = {}
-    for (index, req, key), result in zip(unique, fresh):
-        if tracer is not None and result.trace_events:
-            # worker-process spans join the parent timeline exactly once
-            tracer.absorb(result.trace_events)
-            result.trace_events = None
-        observe_unit(req.dialect, result.wall_seconds, fresh=True)
-        if cache is not None:
-            cache.store(key, result)
-        if key:
-            by_key[key] = result
-        results[index] = result
-    for index, request, key in duplicates:
-        shared = by_key[key]
-        copy = CheckResult.from_dict(shared.to_dict())
-        copy.name = request.name
-        copy.wall_seconds = 0.0  # the duplicate cost the batch nothing
-        copy.cache_tier = "coalesced"  # keep it out of the analyzed count
-        results[index] = copy
-
-    ordered = [results[index] for index in range(len(requests))]
-    return BatchReport(
-        results=ordered,
-        elapsed_seconds=time.perf_counter() - started,
+    results: list[CheckResult] = []
+    stats = stream_batch(
+        requests,
         jobs=jobs,
-        cache_evictions=getattr(cache, "evictions", 0) - evictions_before,
-        coalesced=len(duplicates),
+        cache=cache,
+        on_result=results.append,
+        window=len(requests),
     )
+    return stats.batch_report(results)

@@ -1,5 +1,7 @@
 """The bounded-memory streaming scheduler (`repro.engine.stream`)."""
 
+import pytest
+
 from repro.engine import (
     MemoryCache,
     render_unit,
@@ -154,3 +156,94 @@ class TestStreamStats:
             "false_positives",
             "imprecision",
         }
+
+
+class _InlinePool:
+    """A pool stand-in that runs work on submission, in this process."""
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def apply_async(self, fn, args):
+        result = fn(*args)
+        return type("Ready", (), {"get": lambda self: result})()
+
+    def starmap(self, fn, iterable, chunksize=1):
+        return [fn(*args) for args in iterable]
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """The worker counts of every pool a sweep starts."""
+    import multiprocessing
+
+    started = []
+
+    class Context:
+        def Pool(self, processes):
+            started.append(processes)
+            return _InlinePool(processes)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *a: Context())
+    return started
+
+
+class TestPoolPolicy:
+    def test_all_hit_stream_starts_no_pool(self, pools):
+        cache = MemoryCache()
+        requests = distinct_requests(3)
+        stream_batch(requests, jobs=1, cache=cache)
+        warm = stream_batch(requests, jobs=2, cache=cache)
+        assert warm.cache_hits == 3
+        assert pools == []
+
+    def test_pool_is_no_wider_than_the_waiting_misses(self, pools):
+        report = run_batch(distinct_requests(2), jobs=8, cache=MemoryCache())
+        assert report.cache_misses == 2
+        assert pools == [2]
+
+    def test_warm_prefix_still_starts_the_pool(self, pools):
+        # hits drain without submitting anything, so the cold misses
+        # behind them are all waiting when the first reaches the head
+        cache = MemoryCache()
+        requests = distinct_requests(8)
+        stream_batch(requests[:4], jobs=1, cache=cache)
+        stats = stream_batch(requests, jobs=2, cache=cache, window=4)
+        assert (stats.cache_hits, stats.analyzed) == (4, 4)
+        assert pools == [2]
+
+    def test_one_waiting_miss_runs_inline(self, pools):
+        stats = stream_batch(distinct_requests(1), jobs=4)
+        assert stats.analyzed == 1
+        assert pools == []
+
+
+class TestStreamCoalescing:
+    def test_duplicate_of_a_pending_run_is_coalesced(self):
+        import dataclasses
+
+        base = request("a.c")
+        alias = dataclasses.replace(base, name="alias.c")
+        seen = []
+        stats = stream_batch(
+            [base, alias],
+            jobs=1,
+            cache=MemoryCache(),
+            on_result=seen.append,
+        )
+        assert (stats.analyzed, stats.coalesced) == (1, 1)
+        assert [r.cache_tier for r in seen] == ["", "coalesced"]
+        assert seen[1].name == "alias.c"
+        assert "1 coalesced" in stats.render()

@@ -2,6 +2,7 @@
 turning them on never perturbs the analysis output itself."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,22 @@ class TestMetricsArtifact:
             'mlffi_unit_seconds_count{dialect="ocaml",outcome="fresh"} 2'
             in text
         )
+
+    def test_batch_and_stream_write_one_run_family_set(
+        self, tree, tmp_path, capsys
+    ):
+        # one sweep driver, one set of mlffi_run_* gauges, whatever the mode
+        families = []
+        for mode in ([], ["--stream"]):
+            out = tmp_path / f"m{len(families)}.prom"
+            argv = ["batch", str(tree), "--no-cache", "--format", "json"]
+            main(argv + mode + ["--metrics-out", str(out)])
+            text = out.read_text()
+            assert "mlffi_run_units 2" in text
+            families.append(set(re.findall(r"^(mlffi_run_\w+) ", text, re.M)))
+        capsys.readouterr()
+        assert families[0] == families[1]
+        assert {"mlffi_run_units", "mlffi_run_coalesced"} <= families[0]
 
     def test_warm_batch_metrics_split_hits_by_tier(
         self, tree, tmp_path, capsys

@@ -223,6 +223,17 @@ def test_link_smoke_gates_recall_rss_and_exit_codes(workflow):
     assert "--strict" in runs
     for dialect in ("ocaml", "pyext", "jni", "rust"):
         assert dialect in runs
+    # the worker pool is exercised, gated on the same link exit code
+    (pool_leg,) = [
+        s["run"]
+        for s in job["steps"]
+        if "--jobs 2" in s.get("run", "")
+    ]
+    assert (
+        "mlffi-check link examples/link/ocaml --no-cache --quiet --jobs 2"
+        in pool_leg
+    )
+    assert 'test "$status" -eq 2' in pool_leg
     uploads = [
         s for s in job["steps"] if "upload-artifact" in s.get("uses", "")
     ]

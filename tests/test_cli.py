@@ -335,6 +335,32 @@ class TestBatch:
         assert "engine failure" in capsys.readouterr().out
 
 
+SWEEPS = [("batch",), ("batch", "--stream"), ("link",), ("conformance",)]
+
+
+class TestSweepExitContract:
+    """One exit contract for every corpus sweep, whatever its mode."""
+
+    @pytest.mark.parametrize("command", SWEEPS, ids=" ".join)
+    def test_all_units_skipped_is_a_zero_unit_sweep(
+        self, command, tmp_path, capsys
+    ):
+        # a skipped file must not sink a sweep: only "no .c path at all"
+        # is a usage error
+        (tmp_path / "empty.c").write_text("  \n")
+        with pytest.warns(UserWarning, match="empty source"):
+            code = main([command[0], str(tmp_path), *command[1:], "--no-cache"])
+        assert code == 0
+        assert "0 unit(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", SWEEPS, ids=" ".join)
+    def test_tree_without_c_paths_exits_125(self, command, tmp_path, capsys):
+        (tmp_path / "readme.txt").write_text("nothing to check")
+        code = main([command[0], str(tmp_path), *command[1:], "--no-cache"])
+        assert code == 125
+        assert "no .c translation units under" in capsys.readouterr().err
+
+
 class TestBatchSubprocess:
     """End-to-end: drive `mlffi-check batch` as a real child process."""
 

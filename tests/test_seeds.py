@@ -333,6 +333,37 @@ class TestWarmupAndPrune:
         assert payload["hosts"]["hosts"] == 1
 
 
+    def test_warmup_reads_the_host_set_the_sweep_reads(self, tmp_path, capsys):
+        # an empty or undecodable host file is skipped by the sweep, so
+        # warmup must skip it too or it stores an artifact under a
+        # fingerprint no sweep ever asks for
+        from repro.cli import main
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "counter.ml").write_text(ML)
+        (corpus / "counter.c").write_text(C)
+        (corpus / "empty.ml").write_text("\n")
+        (corpus / "binary.ml").write_bytes(b"\xff\xfe\x00\x81")
+        with pytest.warns(UserWarning, match="skipping"):
+            assert main(["warmup", str(corpus), "--format", "json"]) == 0
+        import json
+
+        assert json.loads(capsys.readouterr().out)["hosts"]["hosts"] == 1
+        seeds.clear_seed_memos()  # the link that follows is a cold process
+        builds = seeds.seed_stats()["host_builds"]
+        with pytest.warns(UserWarning, match="skipping"):
+            assert main(["link", str(corpus), "--no-cache", "--quiet"]) == 0
+        capsys.readouterr()
+        assert seeds.seed_stats()["host_builds"] - builds == 0
+
+    def test_warmup_missing_directory_exits_125(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["warmup", str(tmp_path / "absent")]) == 125
+        assert "no such directory" in capsys.readouterr().err
+
+
 class TestProjectAnalysisStillWorks:
     """Sanity: the memo layers sit under the public API transparently."""
 
