@@ -1,29 +1,25 @@
-"""Cold-path benchmark: per-unit throughput on scaled example corpora.
+"""Cold-path smoke gates that the repository benchmark does not cover.
 
-Every benchmark so far showed the *cold* analysis path (lex -> parse ->
-lower -> infer, no cache, no resident state) dominating batch onboarding;
-this harness is the instrument that can actually see it.  For each
-boundary dialect it scales the repository's own example corpus to N
-translation units (textual symbol renaming keeps every unit distinct, so
-no content-addressed layer can collapse the work) and times one
-sequential cold sweep with caching disabled.
+perfbench (``perfbench/run.py``) measures cold throughput end to end; this
+script keeps only what it cannot see, each gated in one run:
 
-Two gates, both against *frozen* artifacts committed in this repo:
-
-* **throughput** — cold per-unit time must beat the pre-optimization
-  baseline (``benchmarks/baselines/bench_cold_baseline.json``, recorded
-  at the commit before the PR 5 overhaul) by ``--min-speedup`` (default
-  2.0) on every dialect;
-* **equivalence** — diagnostics over the three real example corpora
+* **telemetry off** -- with no tracer installed and metrics off, the
+  instrumentation hooks must cost under ``--max-telemetry-overhead``
+  (2%) of a cold sweep over the scaled ocaml example corpus;
+* **seed artifacts** -- loading pickled host interfaces must beat
+  re-deriving them by ``--min-seed-artifact-speedup`` (2x);
+* **worker pool** -- no perfbench workload runs the pool: on a host with
+  two or more cores a 4-worker sweep must beat the sequential one, on
+  one core it must cost under 2x, in a majority of alternating pairs;
+  both sweeps must report the same diagnostics;
+* **equivalence** -- diagnostics over the three real example corpora
   (``examples/glue``, ``examples/pyext``, ``examples/jni``) must be
   byte-identical to the golden dumps under ``benchmarks/goldens/``.
-  The equivalence gate is what makes aggressive cold-path refactors safe.
 
 Run::
 
-    python benchmarks/bench_cold.py --units 100
     python benchmarks/bench_cold.py --quick
-    python benchmarks/bench_cold.py --record-baseline --update-goldens
+    python benchmarks/bench_cold.py --update-goldens
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 import tempfile
 import time
@@ -39,6 +34,8 @@ from pathlib import Path
 
 from repro import seeds
 from repro.api import Project
+from repro.bench.specs import spec_by_name
+from repro.bench.synth import synthesize_scaled
 from repro.boundary import get_dialect
 from repro.engine import CheckRequest, run_batch
 from repro.source import SourceFile
@@ -46,10 +43,7 @@ from repro.telemetry import set_hooks_enabled
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "examples"
-BASELINE_PATH = Path(__file__).resolve().parent / "baselines" / "bench_cold_baseline.json"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
-
-BASELINE_SCHEMA = "mlffi-bench-cold-baseline"
 
 #: dialect -> example corpus directory
 CORPORA: dict[str, Path] = {
@@ -117,53 +111,6 @@ def build_corpus(dialect: str, units: int) -> list[CheckRequest]:
             )
         )
     return requests
-
-
-def _calibration_run() -> None:
-    """A fixed, interpreter-bound reference workload (dict/str/int churn,
-    like the analysis itself).  Its wall time tracks how fast this host
-    is executing Python *right now*."""
-    total = 0
-    table: dict[int, int] = {}
-    s = "abcdefgh" * 8
-    for i in range(200_000):
-        table[i & 1023] = i
-        total += table[i & 1023] ^ (i * 7)
-    parts = []
-    for i in range(20_000):
-        parts.append(s[i & 63 : (i & 63) + 8])
-    if total < 0 or not parts:  # keep the work observable
-        raise AssertionError
-
-
-def measure_calibration() -> float:
-    """Best-of-3 seconds for the reference workload."""
-    best = float("inf")
-    for _ in range(3):
-        started = time.perf_counter()
-        _calibration_run()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def time_cold(requests: list[CheckRequest], repeats: int) -> float:
-    """Best-of-``repeats`` sequential cold wall time, caching disabled.
-
-    A tiny untimed sweep first absorbs one-time process costs (module
-    imports, memoized seed tables) so small corpora measure steady-state
-    per-unit throughput rather than interpreter warmup.
-    """
-    run_batch(requests[:3], jobs=1, cache=None)
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        report = run_batch(requests, jobs=1, cache=None)
-        elapsed = time.perf_counter() - started
-        failures = [r.name for r in report.results if r.failure is not None]
-        if failures:
-            raise RuntimeError(f"cold sweep had engine failures: {failures}")
-        best = min(best, elapsed)
-    return best
 
 
 def measure_telemetry_off_overhead(units: int, repeats: int) -> float:
@@ -290,6 +237,67 @@ def measure_seed_artifact_speedup(units: int, repeats: int) -> dict:
     }
 
 
+def measure_pool(units: int, c_loc: int, jobs: int, pairs: int) -> dict:
+    """Sequential vs ``jobs``-worker cold sweep over synthesized units.
+
+    Each unit is defect-free Figure 9 glue (``apm-1.00`` scaled to
+    ``c_loc`` lines of C).  A CPU-bound pool can only win on a host that
+    runs workers side by side, so a pair passes on a speedup with two or
+    more cores and on a bounded overhead with one.  The legs alternate
+    which runs first, and the gate holds when a majority of the
+    ``pairs`` pass: one load spike on a shared runner costs one pair,
+    while a real pool regression loses every one.
+    """
+    base = spec_by_name("apm-1.00")
+    requests = []
+    for index in range(units):
+        program = synthesize_scaled(base, c_loc, unique_prefix=index + 1)
+        requests.append(
+            CheckRequest(
+                name=f"unit{index:03}.c",
+                c_sources=(SourceFile(f"unit{index:03}.c", program.c_source),),
+                ocaml_sources=(
+                    SourceFile(f"unit{index:03}.ml", program.ocaml_source),
+                ),
+            )
+        )
+
+    def sweep(workers: int):
+        started = time.perf_counter()
+        report = run_batch(requests, jobs=workers, cache=None)
+        return time.perf_counter() - started, report
+
+    cores = os.cpu_count() or 1
+    if cores >= 2:
+        kind, limit = "parallel_beats_sequential", 1.0
+    else:
+        kind, limit = "parallel_overhead_bounded", 2.0
+    timings: list[dict[int, float]] = []
+    consistent = True
+    for index in range(pairs):
+        order = (1, jobs) if index % 2 == 0 else (jobs, 1)
+        elapsed: dict[int, float] = {}
+        diagnostics = []
+        for workers in order:
+            elapsed[workers], report = sweep(workers)
+            diagnostics.append([r.to_dict()["diagnostics"] for r in report.results])
+        consistent = consistent and diagnostics[0] == diagnostics[1]
+        timings.append(elapsed)
+    passing = sum(1 for t in timings if t[jobs] < limit * t[1])
+    return {
+        "units": units,
+        "c_loc_per_unit": c_loc,
+        "jobs": jobs,
+        "cores": cores,
+        "sequential_seconds": [round(t[1], 4) for t in timings],
+        "parallel_seconds": [round(t[jobs], 4) for t in timings],
+        "pairs_passing": passing,
+        "gate_kind": kind,
+        "passed": passing > pairs // 2,
+        "consistent": consistent,
+    }
+
+
 # -- diagnostics equivalence ----------------------------------------------------
 
 
@@ -325,24 +333,18 @@ def golden_path(dialect: str) -> Path:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--units", type=int, default=100, help="corpus size per dialect"
+        "--units", type=int, default=100, help="scaled corpus size"
     )
     parser.add_argument(
         "--repeats",
         type=int,
         default=2,
-        help="cold sweeps per dialect; the best run is reported",
+        help="measured sweeps per leg; the best run is kept",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
         help="CI smoke sizing (30 units); same gates",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=2.0,
-        help="required cold per-unit speedup vs the frozen baseline",
     )
     parser.add_argument(
         "--max-telemetry-overhead",
@@ -358,11 +360,6 @@ def main(argv=None) -> int:
         help="required host-interface artifact-load speedup vs rebuild",
     )
     parser.add_argument(
-        "--record-baseline",
-        action="store_true",
-        help="freeze this run's per-unit times as the baseline and skip gates",
-    )
-    parser.add_argument(
         "--update-goldens",
         action="store_true",
         help="rewrite the golden diagnostics dumps from this run",
@@ -371,70 +368,20 @@ def main(argv=None) -> int:
         "--json",
         metavar="PATH",
         default=None,
-        help="also write the JSON payload to PATH (for bench-trend)",
+        help="also write the JSON payload to PATH",
     )
     args = parser.parse_args(argv)
 
     units = 30 if args.quick else args.units
     repeats = 2 if args.quick else args.repeats
-
-    baseline: dict | None = None
-    if BASELINE_PATH.is_file():
-        baseline = json.loads(BASELINE_PATH.read_text())
-
-    # Host-speed calibration: the baseline froze wall times on one
-    # machine at one moment; CPU throttling or different hardware shifts
-    # every measurement uniformly.  The baseline also froze the reference
-    # workload's time, so the ratio between then and now rescales the
-    # frozen numbers to this host's current speed (clamped — a wildly
-    # different host should fail loudly rather than be silently excused).
-    calibration_s = measure_calibration()
-    scale = 1.0
-    if baseline is not None and baseline.get("calibration_seconds"):
-        scale = calibration_s / baseline["calibration_seconds"]
-        scale = min(4.0, max(0.25, scale))
-
     failures: list[str] = []
-    dialects: dict[str, dict] = {}
-    for dialect in CORPORA:
-        requests = build_corpus(dialect, units)
-        cold_s = time_cold(requests, repeats)
-        per_unit = cold_s / units
-        entry: dict = {
-            "units": units,
-            "cold_seconds": round(cold_s, 4),
-            "per_unit_seconds": round(per_unit, 6),
-            "units_per_second": round(units / max(cold_s, 1e-9), 2),
-        }
-        if baseline is not None and not args.record_baseline:
-            base_per_unit = baseline["per_unit_seconds"].get(dialect)
-            if base_per_unit is None:
-                failures.append(f"{dialect}: baseline has no per-unit time")
-            else:
-                scaled_base = base_per_unit * scale
-                speedup = scaled_base / max(per_unit, 1e-9)
-                entry["baseline_per_unit_seconds"] = base_per_unit
-                entry["host_speed_scale"] = round(scale, 3)
-                entry["speedup_vs_baseline"] = round(speedup, 2)
-                if speedup < args.min_speedup:
-                    failures.append(
-                        f"{dialect}: cold per-unit speedup {speedup:.2f}x "
-                        f"< required {args.min_speedup:.2f}x "
-                        f"({per_unit * 1e3:.2f} ms/unit vs baseline "
-                        f"{base_per_unit * 1e3:.2f} ms/unit scaled by "
-                        f"{scale:.3f})"
-                    )
-        dialects[dialect] = entry
 
     # telemetry-off gate: disabled hooks must be indistinguishable from
-    # no hooks (best-of-3 both ways absorbs scheduler noise)
+    # no hooks
     telemetry_overhead = measure_telemetry_off_overhead(
         min(units, 30), max(5, repeats)
     )
-    if (
-        not args.record_baseline
-        and telemetry_overhead > args.max_telemetry_overhead
-    ):
+    if telemetry_overhead > args.max_telemetry_overhead:
         failures.append(
             f"telemetry: disabled-hook overhead "
             f"{telemetry_overhead * 100:.2f}% > allowed "
@@ -444,16 +391,26 @@ def main(argv=None) -> int:
     # seed-artifact gate: loading a pickled host interface must beat
     # re-deriving it, or the artifact tier is pure overhead
     seed_artifact = measure_seed_artifact_speedup(units, repeats)
-    if (
-        not args.record_baseline
-        and seed_artifact["speedup"] < args.min_seed_artifact_speedup
-    ):
+    if seed_artifact["speedup"] < args.min_seed_artifact_speedup:
         failures.append(
             f"seeds: artifact-load speedup {seed_artifact['speedup']:.2f}x "
             f"< required {args.min_seed_artifact_speedup:.2f}x "
             f"(load {seed_artifact['load_seconds'] * 1e3:.1f} ms vs "
             f"rebuild {seed_artifact['rebuild_seconds'] * 1e3:.1f} ms)"
         )
+
+    # 32 units of 220 lines: at 8 units of 120 lines a warm sequential
+    # sweep takes ~0.1 s, less than the pool's start-up
+    pool = measure_pool(32, 220, 4, 5)
+    if not pool["passed"]:
+        failures.append(
+            f"pool: {pool['gate_kind']} held in {pool['pairs_passing']} of "
+            f"{len(pool['parallel_seconds'])} pairs ({pool['jobs']} workers "
+            f"{pool['parallel_seconds']} s vs sequential "
+            f"{pool['sequential_seconds']} s on {pool['cores']} core(s))"
+        )
+    if not pool["consistent"]:
+        failures.append("pool: parallel diagnostics differ from sequential")
 
     # equivalence gate: byte-identical diagnostics on the real examples
     equivalence: dict[str, bool] = {}
@@ -476,42 +433,15 @@ def main(argv=None) -> int:
                 f"{dialect}: diagnostics differ from golden {path.name}"
             )
 
-    if args.record_baseline:
-        BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    "schema": BASELINE_SCHEMA,
-                    "recorded_unix": int(time.time()),
-                    "machine": platform.machine() or "unknown",
-                    "units": units,
-                    "calibration_seconds": calibration_s,
-                    "per_unit_seconds": {
-                        d: dialects[d]["per_unit_seconds"] for d in dialects
-                    },
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        print(f"recorded baseline -> {BASELINE_PATH}", file=sys.stderr)
-        failures = []  # recording runs never gate
-
     payload = {
         "schema": "mlffi-bench-cold",
         "units": units,
         "repeats": repeats,
-        "calibration_seconds": round(calibration_s, 5),
-        "host_speed_scale": round(scale, 3),
-        "min_speedup": args.min_speedup,
-        "baseline": BASELINE_PATH.name if baseline is not None else None,
         "telemetry_off_overhead": round(telemetry_overhead, 4),
         "max_telemetry_overhead": args.max_telemetry_overhead,
         "seed_artifact": seed_artifact,
-        "seed_artifact_speedup": seed_artifact["speedup"],
         "min_seed_artifact_speedup": args.min_seed_artifact_speedup,
-        "dialects": dialects,
+        "pool": pool,
         "gates": {
             "diagnostics_byte_identical": equivalence,
             "failures": failures,

@@ -416,7 +416,7 @@ def main(argv=None) -> int:
         "--json",
         metavar="PATH",
         default=None,
-        help="also write the JSON payload to PATH (for bench-trend)",
+        help="also write the JSON payload to PATH",
     )
     args = parser.parse_args(argv)
     clients = 32 if args.quick else args.clients
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
             daemon.session.close()
         # burst >> slot count so the shed *rate* is dominated by the
         # fixed number of slots, not by arrival-timing jitter — keeps
-        # the bench-trend ratio stable across runners
+        # the shed ratio stable across runners
         shed = run_shed_phase(root, burst=48)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

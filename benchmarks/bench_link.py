@@ -1,27 +1,12 @@
-"""Link benchmark: cross-unit recall and streamed mega-corpus residency.
+"""Link smoke: the streamed link sweep's peak RSS on a large corpus.
 
-The whole-program link pass (:mod:`repro.linker`) only earns its keep if
-(a) it actually finds the cross-unit bugs it claims to model and (b) the
-streaming sweep that feeds it stays bounded in memory on corpora far
-larger than any resident session.  This harness gates both:
-
-* **recall** — every seeded cross-unit bug in the committed
-  ``examples/link/<dialect>`` corpora must be detected (each corpus is
-  per-unit clean by construction, so anything the link step misses is
-  silently lost), and every *planted* conflict in a generated scaled
-  corpus must surface: the scaler reuses :func:`bench_cold.build_corpus`
-  to produce N distinct clean units, then plants conflict/duplicate
-  trios among them.  ``link_recall`` (detected / expected) must be 1.0.
-* **bounded RSS** — ``mlffi-check link`` over the generated on-disk
-  corpus runs as a *child process* and its ``ru_maxrss`` must stay under
-  ``--max-rss-mb``.  The streaming scheduler discards per-unit payloads
-  as soon as they are drained, so peak residency tracks the window, not
-  the corpus; a cap that a resident-corpus implementation would blow at
-  10k units is the regression tripwire.
-* **equivalence** — per-unit output of the streaming path must be
-  byte-identical to the non-streaming batch path on a shared subset
-  (same renderer, same order, no cache), so ``--stream`` can never
-  change what a sweep reports.
+``mlffi-check link`` over a generated on-disk ocaml corpus runs as a
+*child process* and its ``ru_maxrss`` must stay under ``--max-rss-mb``.
+The streaming scheduler discards per-unit payloads as soon as they are
+drained, so peak residency tracks the window, not the corpus; a cap that
+a resident-corpus implementation would blow at 10k units is the
+regression tripwire.  perfbench's ``link-sweep`` reports peak RSS too,
+but at 200 units at most, where a corpus-resident sweep still fits.
 
 Run::
 
@@ -36,138 +21,27 @@ import json
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-from bench_cold import _SCALE_SPECS, CORPORA, _rename, build_corpus
-
-from repro.engine import render_unit, run_batch, stream_batch
-from repro.linker import Linker
-
-ROOT = Path(__file__).resolve().parent.parent
-LINK_EXAMPLES = ROOT / "examples" / "link"
-
-#: dialect -> the LINK_* kinds seeded in examples/link/<dialect>
-EXPECTED_EXAMPLE_KINDS: dict[str, tuple[str, ...]] = {
-    "ocaml": (
-        "LINK_CONFLICTING_DECL",
-        "LINK_DUPLICATE_DEFINITION",
-        "LINK_UNRESOLVED_EXTERN",
-    ),
-    "pyext": (
-        "LINK_CONFLICTING_DECL",
-        "LINK_DUPLICATE_REGISTRATION",
-        "LINK_UNRESOLVED_EXTERN",
-    ),
-    "jni": (
-        "LINK_CONFLICTING_DECL",
-        "LINK_DUPLICATE_REGISTRATION",
-        "LINK_UNRESOLVED_EXTERN",
-    ),
-}
-
-#: one planted trio: a two-argument definition, an identical duplicate
-#: of a second function, and a user unit whose one-argument prototype
-#: conflicts with the first and whose extern makes the second referenced.
-#: Each trio yields exactly one LINK_CONFLICTING_DECL and one
-#: LINK_DUPLICATE_DEFINITION, and every unit is clean in isolation.
-_PLANT_A = """\
-long plant_confl_{j}(long a, long b)
-{{
-    return a + b;
-}}
-
-long plant_dup_{j}(long x)
-{{
-    return x + 1;
-}}
-"""
-_PLANT_B = """\
-long plant_dup_{j}(long x)
-{{
-    return x + 1;
-}}
-"""
-_PLANT_C = """\
-long plant_confl_{j}(long a);
-extern long plant_dup_{j}(long x);
-
-long plant_user_{j}(long x)
-{{
-    return plant_confl_{j}(x) + plant_dup_{j}(x);
-}}
-"""
+from bench_cold import _SCALE_SPECS, CORPORA, _rename
 
 
-def example_recall() -> tuple[dict[str, dict], list[str]]:
-    """Link the seeded example corpora; every expected kind must fire."""
-    from repro.api import Project
+def materialize_corpus(root: Path, units: int) -> None:
+    """Write ``units`` renamed copies of the clean glue counter pair.
 
-    failures: list[str] = []
-    per_dialect: dict[str, dict] = {}
-    for dialect, expected in EXPECTED_EXAMPLE_KINDS.items():
-        corpus = LINK_EXAMPLES / dialect
-        project = Project.from_directory(corpus, dialect=dialect)
-        report = run_batch(project.to_requests(), jobs=1, cache=None)
-        unit_diags = [
-            (r.name, d.kind.name)
-            for r in report.results
-            for d in r.diagnostics
-        ]
-        if unit_diags:
-            failures.append(
-                f"{dialect}: seeded corpus is not per-unit clean: {unit_diags}"
-            )
-        linker = Linker()
-        for result in report.results:
-            if result.failure is None:
-                linker.add_dict(result.summary)
-        detected = sorted(
-            d.kind.name for d in linker.report().diagnostics
-        )
-        per_dialect[dialect] = {
-            "expected": sorted(expected),
-            "detected": detected,
-        }
-        if detected != sorted(expected):
-            failures.append(
-                f"{dialect}: link detected {detected}, "
-                f"expected {sorted(expected)}"
-            )
-    return per_dialect, failures
-
-
-def materialize_corpus(root: Path, units: int, plants: int) -> None:
-    """Write a scaled on-disk ocaml corpus with planted link bugs.
-
-    Clean units come from :mod:`bench_cold`'s renaming scaler (every
-    boundary symbol in the glue examples carries a rename root, so the
-    scaled corpus links clean on its own); planted trios are appended as
-    standalone C units.  Only the counter pair is scaled — the shapes
-    pair ships a deliberately seeded per-unit defect, and this corpus
-    must be per-unit clean so every diagnostic the sweep reports is a
-    planted cross-unit bug.
+    Every boundary symbol carries a rename root, so the corpus is clean
+    per unit and links clean; the shapes pair is left out because it
+    ships a seeded per-unit defect.
     """
-    specs = _SCALE_SPECS["ocaml"][:1]
-    loaded = [
-        [(name, (CORPORA["ocaml"] / name).read_text()) for name in names]
-        for names, _roots in specs
-    ]
+    (names, roots) = _SCALE_SPECS["ocaml"][0]
+    loaded = [(name, (CORPORA["ocaml"] / name).read_text()) for name in names]
     for index in range(units):
-        spec_index = index % len(specs)
-        _names, roots = specs[spec_index]
-        for name, text in loaded[spec_index]:
-            out = root / f"u{index:05d}_{name}"
-            out.write_text(_rename(text, roots, index))
-    for j in range(plants):
-        (root / f"plant{j:04d}_a.c").write_text(_PLANT_A.format(j=j))
-        (root / f"plant{j:04d}_b.c").write_text(_PLANT_B.format(j=j))
-        (root / f"plant{j:04d}_c.c").write_text(_PLANT_C.format(j=j))
+        for name, text in loaded:
+            (root / f"u{index:05d}_{name}").write_text(_rename(text, roots, index))
 
 
-#: child wrapper: run the CLI link sweep, then append this process's own
-#: peak RSS to the JSON the CLI printed (kilobytes on Linux, bytes on
-#: macOS — normalized here to bytes)
+#: child wrapper: run the CLI link sweep, then record this process's own
+#: peak RSS (kilobytes on Linux, bytes on macOS -- normalized to bytes)
 _CHILD = """\
 import json, resource, sys
 from repro.cli import main
@@ -182,25 +56,12 @@ sys.exit(rc)
 """
 
 
-def streamed_link(
-    corpus: Path, jobs: int, rss_path: Path
-) -> tuple[dict, dict]:
+def streamed_link(corpus: Path, jobs: int, rss_path: Path) -> tuple[dict, dict]:
     """Run ``mlffi-check link`` in a child; returns (link doc, rss info)."""
     argv = [
-        sys.executable,
-        "-c",
-        _CHILD,
-        str(rss_path),
-        "link",
-        str(corpus),
-        "--dialect",
-        "ocaml",
-        "--jobs",
-        str(jobs),
-        "--no-cache",
-        "--quiet",
-        "--format",
-        "json",
+        sys.executable, "-c", _CHILD, str(rss_path),
+        "link", str(corpus), "--dialect", "ocaml", "--jobs", str(jobs),
+        "--no-cache", "--quiet", "--format", "json",
     ]
     proc = subprocess.run(argv, capture_output=True, text=True)
     if not rss_path.is_file():
@@ -208,87 +69,19 @@ def streamed_link(
             f"link child produced no RSS record (exit {proc.returncode}): "
             f"{proc.stderr.strip()[-300:]}"
         )
-    rss = json.loads(rss_path.read_text())
-    document = json.loads(proc.stdout)
-    return document, rss
-
-
-def planted_recall(document: dict, plants: int) -> tuple[dict, list[str]]:
-    """Every planted conflict/duplicate must surface, and nothing else."""
-    failures: list[str] = []
-    counts: dict[str, int] = {}
-    for diag in document["link"]["diagnostics"]:
-        counts[diag["kind"]] = counts.get(diag["kind"], 0) + 1
-    expected = {
-        "LINK_CONFLICTING_DECL": plants,
-        "LINK_DUPLICATE_DEFINITION": plants,
-    }
-    for kind, want in expected.items():
-        if counts.get(kind, 0) != want:
-            failures.append(
-                f"planted: {kind} fired {counts.get(kind, 0)}x, want {want}"
-            )
-    unexpected = {k: v for k, v in counts.items() if k not in expected}
-    if unexpected:
-        failures.append(f"planted: unexpected link diagnostics {unexpected}")
-    if document["stream"]["failures"]:
-        failures.append(
-            f"planted: {document['stream']['failures']} engine failure(s)"
-        )
-    tally = document["stream"]["tally"]
-    if tally["errors"] or tally["warnings"]:
-        failures.append(
-            "planted: generated corpus must be per-unit clean, got "
-            f"{tally['errors']} error(s), {tally['warnings']} warning(s)"
-        )
-    return {"expected": expected, "detected": counts}, failures
-
-
-def identity_gate(units: int, jobs: int) -> tuple[dict, list[str]]:
-    """Streamed and batch sweeps must render byte-identical unit output."""
-    requests = build_corpus("ocaml", units)
-    batch = run_batch(requests, jobs=1, cache=None)
-    batch_text = "\n".join(
-        line for result in batch.results for line in render_unit(result)
-    )
-    streamed: list[str] = []
-    stream_batch(
-        requests,
-        jobs=jobs,
-        cache=None,
-        on_result=lambda r: streamed.extend(render_unit(r)),
-    )
-    stream_text = "\n".join(streamed)
-    identical = batch_text == stream_text
-    failures = (
-        []
-        if identical
-        else [f"identity: streamed output diverges on {units} units"]
-    )
-    return {"units": units, "identical": identical}, failures
+    return json.loads(proc.stdout), json.loads(rss_path.read_text())
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--units",
-        type=int,
-        default=10000,
-        help="generated corpus size for the streamed sweep",
-    )
-    parser.add_argument(
-        "--plants",
-        type=int,
-        default=None,
-        help="planted conflict trios (default: 1 per 100 units, min 3)",
+        "--units", type=int, default=10000, help="generated corpus size"
     )
     parser.add_argument(
         "--jobs", type=int, default=2, help="streaming worker processes"
     )
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke sizing (800 units); same gates",
+        "--quick", action="store_true", help="CI smoke sizing (800 units)"
     )
     parser.add_argument(
         "--max-rss-mb",
@@ -297,46 +90,26 @@ def main(argv=None) -> int:
         help="peak-RSS cap for the streamed child process",
     )
     parser.add_argument(
-        "--identity-units",
-        type=int,
-        default=120,
-        help="subset size for the streamed-vs-batch equivalence gate",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the JSON payload to PATH (for bench-trend)",
+        "--json", metavar="PATH", default=None,
+        help="also write the JSON payload to PATH",
     )
     args = parser.parse_args(argv)
-
     units = 800 if args.quick else args.units
-    plants = (
-        args.plants if args.plants is not None else max(3, units // 100)
-    )
 
     failures: list[str] = []
-
-    examples, example_failures = example_recall()
-    failures.extend(example_failures)
-
-    identity, identity_failures = identity_gate(
-        min(args.identity_units, units), args.jobs
-    )
-    failures.extend(identity_failures)
-
     with tempfile.TemporaryDirectory(prefix="mlffi-bench-link-") as tmp:
         corpus = Path(tmp) / "corpus"
         corpus.mkdir()
-        materialize_corpus(corpus, units, plants)
-        started = time.perf_counter()
-        document, rss = streamed_link(
-            corpus, args.jobs, Path(tmp) / "rss.json"
-        )
-        wall_s = time.perf_counter() - started
-    planted, planted_failures = planted_recall(document, plants)
-    failures.extend(planted_failures)
+        materialize_corpus(corpus, units)
+        document, rss = streamed_link(corpus, args.jobs, Path(tmp) / "rss.json")
 
+    stream = document["stream"]
+    if rss["rc"] != 0 or stream["failures"] or document["link"]["diagnostics"]:
+        failures.append(
+            f"sweep: exit {rss['rc']}, {stream['failures']} engine failure(s), "
+            f"{len(document['link']['diagnostics'])} link diagnostic(s) on a "
+            "clean corpus"
+        )
     max_rss_mb = rss["maxrss_bytes"] / (1024 * 1024)
     if max_rss_mb > args.max_rss_mb:
         failures.append(
@@ -344,35 +117,13 @@ def main(argv=None) -> int:
             f"> cap {args.max_rss_mb:.1f} MiB on {units} units"
         )
 
-    # recall over everything this run seeded: the three example corpora
-    # (3 expected kinds each) plus two planted kinds per trio
-    expected_total = sum(
-        len(kinds) for kinds in EXPECTED_EXAMPLE_KINDS.values()
-    ) + 2 * plants
-    detected_total = sum(
-        min(len(entry["detected"]), len(entry["expected"]))
-        for entry in examples.values()
-    ) + sum(
-        min(planted["detected"].get(kind, 0), want)
-        for kind, want in planted["expected"].items()
-    )
-    link_recall = detected_total / expected_total
-
     payload = {
         "schema": "mlffi-bench-link",
         "units": units,
-        "plants": plants,
         "jobs": args.jobs,
-        "link_seconds": round(document["link"]["elapsed_seconds"], 4),
-        "sweep_seconds": round(wall_s, 3),
-        "units_per_second": round(units / max(wall_s, 1e-9), 2),
         "max_rss_mb": round(max_rss_mb, 1),
         "rss_cap_mb": args.max_rss_mb,
-        "link_recall": round(link_recall, 4),
-        "examples": examples,
-        "planted": planted,
-        "identity": identity,
-        "stream": document["stream"],
+        "stream": stream,
         "gates": {"failures": failures},
     }
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -171,7 +171,7 @@ def main(argv=None) -> int:
         "--json",
         metavar="PATH",
         default=None,
-        help="also write the JSON payload to PATH (for bench-trend)",
+        help="also write the JSON payload to PATH",
     )
     args = parser.parse_args(argv)
     units = 24 if args.quick else args.units

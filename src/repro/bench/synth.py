@@ -118,7 +118,7 @@ def synthesize_scaled(
 ) -> SynthesizedBenchmark:
     """A defect-free variant of ``base`` scaled to a C LoC target.
 
-    Used by the scaling benchmark (analysis time vs code size).
+    Used by the scaling test (unification steps vs code size).
     """
     scaled = BenchmarkSpec(
         name=f"{base.name}@{c_loc}",

@@ -1042,7 +1042,9 @@ def _run_bench(args: argparse.Namespace) -> int:
     if args.compare:
         print()
         print(comparison_table(suite))
-    return 0
+    return 0 if all(
+        r.matches_paper and r.matches_ground_truth for r in suite.results
+    ) else 1
 
 
 _EXAMPLE_ML = """

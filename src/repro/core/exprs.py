@@ -88,8 +88,8 @@ class RuleError(Exception):
 class Options:
     """Analysis switches; the defaults are the paper's configuration.
 
-    The ablation benchmarks flip these off to measure how much each piece
-    of the design contributes (DESIGN.md experiment index).
+    The ablation tests flip these off to check what each piece of the
+    design contributes to the Figure 9 counts.
     """
 
     flow_sensitive: bool = True

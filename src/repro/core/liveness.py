@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cfront.ir import (
-    CallExp,
     FunctionIR,
     MemLval,
     SAssign,
@@ -80,9 +79,6 @@ class LivenessResult:
     live_in: list[frozenset[str]]
     live_out: list[frozenset[str]]
 
-    def live_after(self, index: int) -> frozenset[str]:
-        return self.live_out[index]
-
     def live_before(self, index: int) -> frozenset[str]:
         return self.live_in[index]
 
@@ -114,17 +110,3 @@ def compute_liveness(fn: FunctionIR) -> LivenessResult:
         if changed:
             worklist.extend(preds[index])
     return LivenessResult(live_in, live_out)
-
-
-def call_live_set(
-    fn: FunctionIR, index: int, liveness: LivenessResult, call: CallExp
-) -> frozenset[str]:
-    """Variables whose values must survive the call at ``fn.body[index]``.
-
-    Per the paper's (App) rule the protection requirement covers variables
-    live at the call's program point; arguments themselves are consumed by
-    the call (the callee copies them before any allocation in well-formed
-    runtime usage only if registered — so we keep arguments in the set,
-    matching the conservative reading of ``live(Γ)``).
-    """
-    return liveness.live_in[index] | expr_vars(call)

@@ -283,7 +283,3 @@ CSrcType = Union[CSrcVoid, CSrcScalar, CSrcValue, CSrcPtr, CSrcStruct, CSrcFun]
 
 def is_value_src(ctype: CSrcType) -> bool:
     return isinstance(ctype, CSrcValue)
-
-
-def is_pointer_src(ctype: CSrcType) -> bool:
-    return isinstance(ctype, (CSrcPtr, CSrcFun))

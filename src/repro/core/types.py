@@ -276,11 +276,6 @@ def fresh_mt(name: str = "") -> MTVar:
     return MTVar(name=name)
 
 
-def fresh_repr() -> MTRepr:
-    """A representational type about which nothing is known: ``(ψ, σ)``."""
-    return MTRepr(psi=fresh_psi(), sigma=fresh_sigma_row())
-
-
 #: ρ(unit) = (1, ∅) — the singleton unboxed value 0.
 UNIT_REPR = MTRepr(psi=PsiConst(1), sigma=EMPTY_SIGMA)
 
@@ -399,11 +394,6 @@ class CFun:
 CType = Union[CVoid, CInt, CStruct, CTVar, CValue, CPtr, CFun]
 
 
-def fresh_value(name: str = "") -> CValue:
-    """``η(value) = α value`` with fresh ``α`` (paper §3.3.2)."""
-    return CValue(mt=fresh_mt(name))
-
-
 def fresh_ctvar(name: str = "") -> CTVar:
     return CTVar(name=name)
 
@@ -447,7 +437,3 @@ def iter_subterms(term: Union[CType, MLType, Psi, Sigma, Pi]) -> Iterator[object
             stack.extend(node.elems)
             if node.tail is not None:
                 stack.append(node.tail)
-
-
-def is_value_type(ct: CType) -> bool:
-    return isinstance(ct, CValue)

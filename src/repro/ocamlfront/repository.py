@@ -206,13 +206,3 @@ def build_initial_env(repository: TypeRepository) -> InitialEnv:
                         )
                     )
     return env
-
-
-def initial_env_from_sources(
-    sources: list[SourceFile], with_stdlib: bool = True
-) -> InitialEnv:
-    """Parse OCaml sources and build ``Γ_I`` in one step."""
-    repo = TypeRepository.with_stdlib() if with_stdlib else TypeRepository()
-    for source in sources:
-        repo.add_source(source)
-    return build_initial_env(repo)

@@ -163,12 +163,3 @@ def generate_program(
         c_source="\n".join(lines),
         sabotage=sabotage,
     )
-
-
-def generate_sample(
-    rng: random.Random, allow_sabotage: bool = True
-) -> GeneratedProgram:
-    sabotage: Optional[str] = None
-    if allow_sabotage and rng.random() < 0.4:
-        sabotage = rng.choice(SABOTAGES)
-    return generate_program(rng, sabotage)

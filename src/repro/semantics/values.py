@@ -56,12 +56,3 @@ class MLLoc:
 
 
 Value = Union[CIntVal, CLoc, MLInt, MLLoc]
-
-
-def is_unboxed(value: Value) -> bool:
-    """Is this an OCaml value that ``Is_long`` would report unboxed?"""
-    return isinstance(value, MLInt)
-
-
-def is_boxed(value: Value) -> bool:
-    return isinstance(value, MLLoc)

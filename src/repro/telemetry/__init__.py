@@ -23,9 +23,10 @@ Three small pieces, all stdlib-only and all no-op-cheap when disabled:
 
 The cardinal rule is that **disabled telemetry must cost nothing
 measurable**: ``span(...)`` with no tracer installed is one module-flag
-check plus one ``ContextVar`` read (``benchmarks/bench_cold.py`` gates
-the hook overhead below 2%), and every metrics helper bails on a single
-module flag before touching the registry.
+check plus one ``ContextVar`` read (the telemetry-off gate in
+``benchmarks/bench_cold.py`` bounds it below 2% of a cold sweep), and
+every metrics helper bails on a single module flag before touching the
+registry.
 """
 
 from .jsonlog import JsonLogger

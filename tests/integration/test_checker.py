@@ -8,6 +8,10 @@ code is accepted silently.
 
 
 from repro import Kind, Options, analyze_project
+from repro.api import Project
+from repro.boundary import get_dialect
+from repro.core.checker import Checker
+from repro.core.types import PSI_TOP, CValue, MTRepr, PsiConst
 
 
 def kinds(report):
@@ -23,31 +27,73 @@ def analyze(ml, c, options=None):
 # ---------------------------------------------------------------------------
 
 
+FIG2_ML = """
+type t = A of int | B | C of int * int | D
+external examine : t -> int = "ml_examine"
+"""
+
+FIG2_C = """
+value ml_examine(value x)
+{
+    int result = 0;
+    if (Is_long(x)) {
+        switch (Int_val(x)) {
+        case 0: result = 1; break;
+        case 1: result = 2; break;
+        }
+    } else {
+        switch (Tag_val(x)) {
+        case 0: result = Int_val(Field(x, 0)); break;
+        case 1: result = Int_val(Field(x, 1)); break;
+        }
+    }
+    return Val_int(result);
+}
+"""
+
+
+def examine_param(project):
+    """Run the checker over ``project``; return the resolved
+    representational type of ``ml_examine``'s parameter."""
+    checker = Checker(
+        project.lower(), project.build_initial_env(), dialect=get_dialect("ocaml")
+    )
+    report = checker.run()
+    unifier = checker.ctx.unifier
+    param = checker.ctx.functions["ml_examine"].ct.params[0]
+    assert isinstance(param, CValue)
+    return report, unifier, unifier.deep_resolve_mt(param.mt)
+
+
 class TestCleanPrograms:
     def test_figure2_tag_dispatch(self):
-        ml = """
-        type t = A of int | B | C of int * int | D
-        external examine : t -> int = "ml_examine"
-        """
-        c = """
-        value ml_examine(value x)
-        {
-            int result = 0;
-            if (Is_long(x)) {
-                switch (Int_val(x)) {
-                case 0: result = 1; break;
-                case 1: result = 2; break;
-                }
-            } else {
-                switch (Tag_val(x)) {
-                case 0: result = Int_val(Field(x, 0)); break;
-                case 1: result = Int_val(Field(x, 1)); break;
-                }
-            }
-            return Val_int(result);
-        }
-        """
-        assert kinds(analyze(ml, c)) == []
+        assert kinds(analyze(FIG2_ML, FIG2_C)) == []
+
+    def test_figure8_resolves_to_the_declared_type(self):
+        """§3.4's worked example: with the declaration, ``x`` resolves to
+        ρ(t) = (2, (⊤,∅) + (⊤,∅) × (⊤,∅))."""
+        report, unifier, resolved = examine_param(
+            Project().add_ocaml(FIG2_ML).add_c(FIG2_C)
+        )
+        assert not report.diagnostics, [d.render() for d in report.diagnostics]
+        assert isinstance(resolved, MTRepr)
+        # two nullary constructors (B, D) ...
+        assert unifier.resolve_psi(resolved.psi) == PsiConst(2)
+        # ... and two products: A's (int) and C's (int × int)
+        sigma = resolved.sigma
+        assert sigma.is_closed
+        assert [len(prod.elems) for prod in sigma.prods] == [1, 2]
+        payload = sigma.prods[1].elems[0]
+        assert isinstance(payload, MTRepr)
+        assert payload.psi is PSI_TOP
+
+    def test_figure8_rows_stay_open_without_the_declaration(self):
+        """Only the C side constrains ``x``: the tag tests grow σ to two
+        products, but nothing closes it."""
+        _report, _unifier, resolved = examine_param(Project().add_c(FIG2_C))
+        assert isinstance(resolved, MTRepr)
+        assert len(resolved.sigma.prods) >= 2
+        assert not resolved.sigma.is_closed
 
     def test_tuple_access_without_test(self):
         # products are always boxed; no Is_long needed (Val Deref Tuple Exp)

@@ -243,6 +243,19 @@ class TestStatementReduction:
         assert result.outcome is Outcome.EXHAUSTED
         assert result.steps == 50
 
+    def test_counting_loop_returns_its_bound(self):
+        body = [
+            SAssign(VarExp("i"), IntLit(0)),
+            SIf(AOp(">=", VarExp("i"), IntLit(2000)), "end"),
+            SAssign(VarExp("i"), AOp("+", VarExp("i"), IntLit(1))),
+            SGoto("head"),
+            SReturn(VarExp("i")),
+        ]
+        result = Machine(body, {"head": 1, "end": 4}, MachineState()).run(
+            max_steps=10_000
+        )
+        assert result.returned == CIntVal(2000)
+
     def test_fall_off_end_finishes(self):
         result = run([SNop()])
         assert result.outcome is Outcome.FINISHED

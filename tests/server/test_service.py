@@ -1,6 +1,8 @@
 """Method dispatch of the analysis service, driven in-process."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,8 @@ value ml_get(value x)
 """
 
 BAD_C = "value ml_bad(value x) { return Val_int(x); }\n"
+
+EXAMPLES = Path(__file__).resolve().parent.parent.parent / "examples"
 
 
 @pytest.fixture()
@@ -177,6 +181,43 @@ class TestWireStability:
         wire = protocol.encode({"diagnostics": unit["diagnostics"]})
         direct = protocol.encode({"diagnostics": one_shot})
         assert wire.encode() == direct.encode()
+
+    @pytest.mark.parametrize(
+        "dialect, corpus, edited",
+        [
+            ("ocaml", "glue", "counter_stubs.c"),
+            ("pyext", "pyext", "clean_module.c"),
+            ("jni", "jni", "clean_native.c"),
+        ],
+    )
+    def test_example_corpora_byte_identical_to_one_shot(
+        self, tmp_path, dialect, corpus, edited
+    ):
+        """After an edit and an incremental re-check, every example
+        unit's wire diagnostics equal a one-shot ``Project.analyze`` of
+        that unit with the tree's host sources."""
+        root = tmp_path / corpus
+        shutil.copytree(EXAMPLES / corpus, root)
+        with Session(root, dialect=dialect) as session:
+            session.check()
+            (root / edited).write_text((root / edited).read_text() + "\n/* edit */\n")
+            session.invalidate([root / edited])
+            session.check()
+            result = session.service().handle(
+                json.dumps({"id": 1, "method": "check"})
+            )["result"]
+        by_name = {u["name"]: u for u in result["units"]}
+        units = sorted(root.glob("*.c"))
+        assert len(by_name) == len(units)
+        for unit in units:
+            project = Project(dialect=dialect)
+            for host in sorted(root.glob("*.ml")) + sorted(root.glob("*.mli")):
+                project.add_ocaml(host.read_text(), name=str(host))
+            project.add_c(unit.read_text(), name=str(unit))
+            one_shot = [d.to_dict() for d in project.analyze().diagnostics]
+            wire = protocol.encode({"diagnostics": by_name[str(unit)]["diagnostics"]})
+            direct = protocol.encode({"diagnostics": one_shot})
+            assert wire.encode() == direct.encode(), unit.name
 
 
 class TestSession:

@@ -1,5 +1,8 @@
 """The whole-program linker: summaries, rules, and dialect extraction."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api import Project
@@ -393,3 +396,68 @@ class TestDialectExtraction:
             assert rebuilt.summary == result.summary
             linker.add_dict(rebuilt.summary)
         assert kinds(linker.report()) == sorted(self.EXPECTED["ocaml"])
+
+
+#: one planted trio: a two-argument definition, an identical duplicate of
+#: a second function, and a user unit whose one-argument prototype
+#: conflicts with the first and whose extern references the second.  Each
+#: trio yields exactly one LINK_CONFLICTING_DECL and one
+#: LINK_DUPLICATE_DEFINITION, and every unit is clean in isolation.
+PLANT_A = """\
+long plant_confl_{j}(long a, long b)
+{{
+    return a + b;
+}}
+
+long plant_dup_{j}(long x)
+{{
+    return x + 1;
+}}
+"""
+PLANT_B = """\
+long plant_dup_{j}(long x)
+{{
+    return x + 1;
+}}
+"""
+PLANT_C = """\
+long plant_confl_{j}(long a);
+extern long plant_dup_{j}(long x);
+
+long plant_user_{j}(long x)
+{{
+    return plant_confl_{j}(x) + plant_dup_{j}(x);
+}}
+"""
+
+
+def test_link_sweep_finds_every_planted_conflict(tmp_path, capsys):
+    """Planted trios among renamed clean glue units: the streamed link
+    sweep reports each trio's two errors and nothing else."""
+    from repro import cli
+
+    glue = Path(__file__).resolve().parent.parent / "examples" / "glue"
+    for index in range(6):
+        for name in ("counter.ml", "counter_stubs.c"):
+            text = (glue / name).read_text().replace("counter", f"counter{index:03d}")
+            (tmp_path / f"u{index:03d}_{name}").write_text(text)
+    plants = 3
+    for j in range(plants):
+        for suffix, template in (("a", PLANT_A), ("b", PLANT_B), ("c", PLANT_C)):
+            (tmp_path / f"plant{j}_{suffix}.c").write_text(template.format(j=j))
+    code = cli.main(
+        ["link", str(tmp_path), "--dialect", "ocaml", "--no-cache",
+         "--quiet", "--format", "json"]
+    )
+    document = json.loads(capsys.readouterr().out)
+    counts = {}
+    for diag in document["link"]["diagnostics"]:
+        counts[diag["kind"]] = counts.get(diag["kind"], 0) + 1
+    assert counts == {
+        "LINK_CONFLICTING_DECL": plants,
+        "LINK_DUPLICATE_DEFINITION": plants,
+    }
+    assert document["stream"]["failures"] == 0
+    assert document["stream"]["tally"]["errors"] == 0
+    assert document["stream"]["tally"]["warnings"] == 0
+    assert code == 2 * plants
