@@ -45,10 +45,10 @@ changes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from .cfront.ir import ProgramIR
-from .cfront.lexer import scan_includes
+from .cfront.lexer import scan_identifiers, scan_includes
 from .core.checker import AnalysisReport, Checker
 from .telemetry import span as _tspan
 
@@ -67,6 +67,8 @@ UNIT_SUFFIXES: tuple[str, ...] = (".c", ".h")
 #: translation units; headers reach the analysis as dependencies of
 #: their includers
 CORPUS_UNIT_SUFFIXES: tuple[str, ...] = (".c",)
+#: the ``unit`` of a host summary (see :meth:`BoundaryDialect.host_summary`)
+HOST_UNIT = "<host>"
 
 
 @runtime_checkable
@@ -76,6 +78,15 @@ class BoundaryDialect(Protocol):
     The seeding methods build *fresh* inference variables on every call —
     entries must never be shared between analysis runs, or one program's
     unifier bindings would leak into the next.
+
+    One hook runs per corpus, not per unit, and is optional so a dialect
+    without a host side may leave it out: ``host_summary(request)``
+    returns an :class:`~repro.linker.summary.InterfaceSummary` of the
+    host side's link rows (``bindings``, ``host_exports``), which the
+    link pass folds in once through
+    :meth:`~repro.linker.Linker.add_host`.  ``request`` carries the host
+    sources and no C units.  Every built-in dialect defines it; pyext and
+    jni return an empty summary.
     """
 
     #: registry key, the CLI's ``--dialect`` value, and the name of the
@@ -112,8 +123,13 @@ class BoundaryDialect(Protocol):
     def initial_env(
         self, request: "CheckRequest", units: list["TranslationUnit"]
     ) -> "InitialEnv":
-        """Phase one: build ``Γ_I`` from the host side (or, when the
-        contract lives in C, from the parsed units)."""
+        """Phase one for this unit: ``Γ_I`` from the host side (or, when
+        the contract lives in C, from the parsed units).
+
+        A host-side ``Γ_I`` holds only the entries the unit can use: those
+        whose C names the unit mentions (:func:`unit_names`).  The parsed
+        host side behind it is memoized per host fingerprint, so its
+        cost is paid once per corpus, not once per unit."""
         ...
 
     def lower(self, unit: "TranslationUnit") -> ProgramIR:
@@ -131,7 +147,11 @@ class BoundaryDialect(Protocol):
     def summarize(
         self, request: "CheckRequest", units: list["TranslationUnit"]
     ) -> "InterfaceSummary":
-        """The unit's link-relevant slice (see :mod:`repro.linker`)."""
+        """The unit's link-relevant slice (see :mod:`repro.linker`).
+
+        Host rows (``bindings``, ``host_exports``) appear only for the C
+        symbols the unit mentions; the whole host side reaches the
+        linker once, through :meth:`host_summary`."""
         ...
 
     def analyze(self, request: "CheckRequest") -> AnalysisReport:
@@ -166,6 +186,42 @@ def run_pipeline(dialect: BoundaryDialect, request: "CheckRequest") -> AnalysisR
     with _tspan("summarize", cat="phase"):
         report.summary = dialect.summarize(request, units).to_dict()
     return report
+
+
+def unit_names(request: "CheckRequest") -> frozenset[str]:
+    """Every identifier in the unit's C sources: the names that select
+    its host entries.
+
+    A superset of the names the unit uses (comments and strings count
+    too), which is the safe direction: a selected entry the unit never
+    touches constrains nothing."""
+    names: set[str] = set()
+    for source in request.c_sources:
+        names.update(scan_identifiers(source.text))
+    return frozenset(names)
+
+
+def host_summary(
+    dialect: BoundaryDialect, host_sources: tuple["SourceFile", ...]
+) -> Optional["InterfaceSummary"]:
+    """The dialect's host summary over ``host_sources``, or ``None`` when
+    the dialect has no ``host_summary`` hook or its host side does not
+    build (every unit then fails with that error itself)."""
+    from .engine.jobs import CheckRequest
+
+    hook = getattr(dialect, "host_summary", None)
+    if hook is None:
+        return None
+    request = CheckRequest(
+        name=HOST_UNIT,
+        c_sources=(),
+        ocaml_sources=host_sources,
+        dialect=dialect.name,
+    )
+    try:
+        return hook(request)
+    except Exception:  # noqa: BLE001 - reported per unit, not here
+        return None
 
 
 def unit_dependencies(request: "CheckRequest") -> tuple[str, ...]:

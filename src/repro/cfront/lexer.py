@@ -143,6 +143,15 @@ def _unescape(match: "re.Match[str]") -> str:
     return _ESCAPES.get(char, char)
 
 
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def scan_identifiers(text: str) -> set[str]:
+    """Every identifier-shaped word in ``text``, without tokenizing:
+    comments, strings and directives included."""
+    return set(_IDENT_RE.findall(text))
+
+
 def scan_includes(text: str) -> tuple[str, ...]:
     """Quoted (project-local) ``#include`` targets, in order, deduplicated.
 

@@ -63,7 +63,12 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .api import Project
-from .boundary import UNIT_SUFFIXES, available_dialects, get_dialect
+from .boundary import (
+    UNIT_SUFFIXES,
+    available_dialects,
+    get_dialect,
+    host_summary,
+)
 from .core.exprs import Options
 from .corpus import iter_tree
 from .engine import (
@@ -697,7 +702,8 @@ def _sweep(
     if not root.is_dir():
         print(f"error: no such directory: {args.directory}", file=sys.stderr)
         return None
-    scan = iter_tree(root, get_dialect(args.dialect))
+    dialect = get_dialect(args.dialect)
+    scan = iter_tree(root, dialect)
     if not len(scan):
         print(
             f"error: no .c translation units under {args.directory}",
@@ -743,6 +749,9 @@ def _sweep(
         link_report = None
         if linker is not None:
             with span("link", cat="phase"):
+                host = host_summary(dialect, hosts)
+                if host is not None:
+                    linker.add_host(host)
                 link_report = linker.report()
         if getattr(args, "metrics_out", None):
             run_stats = {**stats.to_dict(), "coalesced": stats.coalesced}

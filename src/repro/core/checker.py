@@ -203,7 +203,12 @@ class Checker:
             )
 
     def _flag_poly_variant_users(self) -> None:
-        for c_name in sorted(self.initial_env.poly_variant_users):
+        # nothing gates this note, so it belongs to the unit implementing
+        # the external: it then appears once per corpus however the
+        # corpus is split into units
+        defined = {fn.name for fn in self.program.functions if fn.is_definition}
+        users = self.initial_env.poly_variant_users & defined
+        for c_name in sorted(users):
             self.ctx.report(
                 Kind.POLY_VARIANT,
                 self.initial_env.spans.get(c_name, DUMMY_SPAN),

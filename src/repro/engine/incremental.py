@@ -31,7 +31,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from ..boundary import CORPUS_UNIT_SUFFIXES, get_dialect, unit_dependencies
+from ..boundary import (
+    CORPUS_UNIT_SUFFIXES,
+    get_dialect,
+    host_summary,
+    unit_dependencies,
+)
 from ..core.exprs import Options
 from ..corpus import read_source, scan_tree
 from ..linker import Linker, LinkReport
@@ -120,6 +125,12 @@ class IncrementalReport(BatchReport):
     #: dirty units a restricted check did NOT submit: their results in
     #: this report are the pre-edit ones and must not be trusted as fresh
     stale: list[str] = field(default_factory=list)
+    #: engine revision of the state this report describes, read under
+    #: the engine lock as the check ends (not part of :meth:`to_dict`)
+    revision: int = 0
+    #: every submitted unit already had a result: the check re-ran
+    #: edited units, it was not a first check (not part of :meth:`to_dict`)
+    rechecked: bool = False
 
     def to_dict(self) -> dict:
         data = super().to_dict()
@@ -192,11 +203,15 @@ class IncrementalEngine:
     def _host_tuple(self) -> tuple[SourceFile, ...]:
         return tuple(self._hosts[path] for path in sorted(self._hosts))
 
-    def _build_request(self, source: SourceFile) -> CheckRequest:
+    def _build_request(
+        self, source: SourceFile, hosts: tuple[SourceFile, ...]
+    ) -> CheckRequest:
+        # callers pass one ``hosts`` tuple for all the requests they build,
+        # so its fingerprint is hashed once per tuple, not once per unit
         return CheckRequest(
             name=source.filename,
             c_sources=(source,),
-            ocaml_sources=self._host_tuple(),
+            ocaml_sources=hosts,
             options=self.options,
             dialect=self.dialect,
             trace=self.trace,
@@ -216,8 +231,12 @@ class IncrementalEngine:
             deps.add(local if Path(local).exists() or local == shared else shared)
         self.graph.set_dependencies(state.name, deps)
 
-    def _adopt_unit(self, source: SourceFile) -> None:
-        state = UnitState(name=source.filename, request=self._build_request(source))
+    def _adopt_unit(
+        self, source: SourceFile, hosts: tuple[SourceFile, ...]
+    ) -> None:
+        state = UnitState(
+            name=source.filename, request=self._build_request(source, hosts)
+        )
         self._units[state.name] = state
         self._index_unit(state)
         self._dirty.add(state.name)
@@ -227,9 +246,8 @@ class IncrementalEngine:
         self._dirty.discard(name)
         self.graph.remove_unit(name)
 
-    def _rebuild_all_requests(self) -> None:
+    def _rebuild_all_requests(self, hosts: tuple[SourceFile, ...]) -> None:
         """The host side changed: every unit's ``Γ_I`` inputs did too."""
-        hosts = self._host_tuple()
         for state in self._units.values():
             state.request = replace(state.request, ocaml_sources=hosts)
             self._index_unit(state)
@@ -247,8 +265,9 @@ class IncrementalEngine:
                 name_for=lambda path: _normalize(path, self.root),
             )
             self._hosts = {source.filename: source for source in scan.hosts}
+            hosts = self._host_tuple()
             for source in scan.units:
-                self._adopt_unit(source)
+                self._adopt_unit(source, hosts)
             self._bump_revision()
             return set(self._dirty)
 
@@ -264,6 +283,8 @@ class IncrementalEngine:
         with self._lock:
             affected: set[str] = set()
             host_changed = False
+            # new units are adopted once the host side read is final
+            adopted: list[SourceFile] = []
             for raw in paths:
                 path = _normalize(raw, self.root)
                 suffix = Path(path).suffix
@@ -292,15 +313,18 @@ class IncrementalEngine:
                 elif suffix in CORPUS_UNIT_SUFFIXES and Path(path).is_file():
                     source = self._read(path)
                     if source is not None:
-                        self._adopt_unit(source)
+                        adopted.append(source)
                         affected.add(path)
                 else:
                     dependents = self.graph.dependents(path)
                     self._dirty.update(dependents)
                     affected.update(dependents)
+            hosts = self._host_tuple()
             if host_changed:
-                self._rebuild_all_requests()
+                self._rebuild_all_requests(hosts)
                 affected.update(self._units)
+            for source in adopted:
+                self._adopt_unit(source, hosts)
             # conservative: any invalidate may have changed what a check
             # would report, so coalesced memos must stop being served
             self._bump_revision()
@@ -346,6 +370,9 @@ class IncrementalEngine:
                 if self._units[name].payload is None
                 or (name in self._dirty and (wanted is None or name in wanted))
             ]
+            rechecked = bool(candidates) and all(
+                self._units[name].payload is not None for name in candidates
+            )
             requests = [self._units[name].request for name in candidates]
             with span("engine-check", cat="phase", dirty=len(candidates)):
                 sub = run_batch(
@@ -358,33 +385,64 @@ class IncrementalEngine:
                 self._units[name].payload = result.to_dict()
                 self._dirty.discard(name)
                 submitted[name] = result
-            ordered = []
-            for name in order:
-                if name in submitted:
-                    ordered.append(submitted[name])
-                else:
-                    ordered.append(self._reused_result(self._units[name]))
             self.checks_run += 1
             if candidates:
                 # resident payloads changed: a memo of the pre-check
                 # report (ran/reused/results) must not be replayed
                 self._bump_revision()
-            return IncrementalReport(
-                results=ordered,
-                elapsed_seconds=time.perf_counter() - started,
-                jobs=jobs or self.jobs,
+            return self._report(
+                started,
+                jobs or self.jobs,
+                submitted,
                 cache_evictions=sub.cache_evictions,
-                checked=list(candidates),
-                ran=[
-                    name
-                    for name, result in zip(candidates, sub.results)
-                    if not result.from_cache
-                ],
-                reused=len(order) - len(candidates),
-                # a restricted check leaves excluded dirty units stale:
-                # their rows above are pre-edit results, not fresh ones
-                stale=sorted(self._dirty),
+                rechecked=rechecked,
             )
+
+    def settled(self, report: IncrementalReport) -> Optional[IncrementalReport]:
+        """The report an unchanged re-check gives right after ``report``:
+        every unit served from resident state, nothing submitted.
+
+        ``None`` once the engine has moved past ``report``'s revision,
+        whose state can then no longer be read."""
+        started = time.perf_counter()
+        with self._lock:
+            if self.revision != report.revision:
+                return None
+            return self._report(started, report.jobs, {})
+
+    def _report(
+        self,
+        started: float,
+        jobs: int,
+        submitted: dict[str, CheckResult],
+        *,
+        cache_evictions: int = 0,
+        rechecked: bool = False,
+    ) -> IncrementalReport:
+        """The corpus report: ``submitted`` results (in submission order)
+        where given, resident ones for every other unit."""
+        order = sorted(self._units)
+        return IncrementalReport(
+            results=[
+                submitted[name]
+                if name in submitted
+                else self._reused_result(self._units[name])
+                for name in order
+            ],
+            elapsed_seconds=time.perf_counter() - started,
+            jobs=jobs,
+            cache_evictions=cache_evictions,
+            checked=list(submitted),
+            ran=[
+                name for name, result in submitted.items() if not result.from_cache
+            ],
+            reused=len(order) - len(submitted),
+            # a restricted check leaves excluded dirty units stale:
+            # their rows above are pre-edit results, not fresh ones
+            stale=sorted(self._dirty),
+            revision=self.revision,
+            rechecked=rechecked,
+        )
 
     # -- linking --------------------------------------------------------------
 
@@ -408,6 +466,9 @@ class IncrementalEngine:
                 summary = payload.get("summary")
                 if summary:
                     linker.add_dict(summary)
+            host = host_summary(self._boundary, self._host_tuple())
+            if host is not None:
+                linker.add_host(host)
             link_report = linker.report()
             self._last_link = {
                 **link_report.tally(),

@@ -47,7 +47,10 @@ from ..source import SourceFile
 #: v8: diagnostics carry their stable ``rule_id`` (see
 #: :mod:`repro.rules`); fourth dialect (rust) with RUST_* kinds; interface
 #: summaries grew the ``host_exports`` row group the linker folds in.
-CACHE_SCHEMA_VERSION = 8
+#: v9: the host phase runs once per corpus: a unit's ``Γ_I`` and summary
+#: keep only the host entries whose C names the unit mentions, and
+#: host-side notes belong to the unit defining the external.
+CACHE_SCHEMA_VERSION = 9
 
 
 def _digest_sources(sources: Iterable[SourceFile]) -> str:
@@ -66,9 +69,30 @@ def _digest_sources(sources: Iterable[SourceFile]) -> str:
     return hasher.hexdigest()
 
 
+#: tuple id -> (the tuple, its digest).  Holding the tuple keeps its id
+#: from being reused while the entry lives.
+_FINGERPRINTS: dict[int, tuple[tuple[SourceFile, ...], str]] = {}
+_FINGERPRINT_LIMIT = 8
+
+
 def repository_fingerprint(ocaml_sources: Iterable[SourceFile]) -> str:
-    """Content hash of the OCaml side (the type repository inputs)."""
-    return _digest_sources(ocaml_sources)
+    """Content hash of the OCaml side (the type repository inputs).
+
+    Every unit of a sweep carries the same host tuple, and each of them
+    asks for this digest (cache key, host memo).  A tuple is hashed once
+    and remembered by identity, so a unit's share does not grow with the
+    host; sources are never mutated once read.
+    """
+    if not isinstance(ocaml_sources, tuple):
+        return _digest_sources(ocaml_sources)
+    entry = _FINGERPRINTS.get(id(ocaml_sources))
+    if entry is not None and entry[0] is ocaml_sources:
+        return entry[1]
+    digest = _digest_sources(ocaml_sources)
+    if len(_FINGERPRINTS) >= _FINGERPRINT_LIMIT:
+        _FINGERPRINTS.clear()
+    _FINGERPRINTS[id(ocaml_sources)] = (ocaml_sources, digest)
+    return digest
 
 
 def options_fingerprint(options: Options) -> str:

@@ -10,9 +10,10 @@ boundary dialect that interprets it; phase one (``Γ_I``) and phase two
 every dialect identically.
 
 Dialects memoize what is profitably shared per process (the OCaml dialect
-memoizes its type repository by content fingerprint); ``Γ_I`` itself is
-rebuilt per unit so fresh inference variables never leak between units
-(the unifier must not see another unit's bindings).
+memoizes its type repository and name index by content fingerprint);
+``Γ_I`` itself is rebuilt per unit, from only the host entries the unit
+names, so fresh inference variables never leak between units (the
+unifier must not see another unit's bindings).
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 The :class:`Linker` is a streaming accumulator — :meth:`Linker.add` takes
 one :class:`~repro.linker.summary.InterfaceSummary` at a time and keeps
 only per-symbol aggregates, so linking a 100k-unit corpus holds symbol
-tables, never sources or results.  :meth:`Linker.report` then applies
+tables, never sources or results.  :meth:`Linker.add_host` takes the
+host side's rows once per corpus (a unit summary carries only the host
+rows for the symbols that unit mentions).  :meth:`Linker.report` then applies
 four rules, in deterministic symbol order:
 
 ``LINK_CONFLICTING_DECL``
@@ -142,11 +144,11 @@ class Linker:
         self._externs: dict[str, list[tuple[str, SymbolRow]]] = {}
         #: registration key -> sites (unit, row)
         self._registrations: dict[str, list[tuple[str, SymbolRow]]] = {}
-        #: host bindings, deduped — host files are shared across units,
-        #: so every unit of an OCaml corpus reports the same externals
+        #: host bindings, deduped — the host summary and every unit that
+        #: mentions a binding's symbol carry the same row
         self._bindings: dict[tuple[str, str, str, int, str], SymbolRow] = {}
         #: host-side definitions (Rust ``#[no_mangle]``), deduped for the
-        #: same reason: the ``.rs`` side repeats in every unit's summary
+        #: same reason
         self._host_exports: dict[tuple[str, str, str, int, str], SymbolRow] = {}
         self._registration_rows = 0
         #: seconds spent inside ``add`` and ``report`` so far
@@ -164,16 +166,30 @@ class Linker:
             self._registration_rows += 1
             key = row.symbol + _KEY_SEP + row.type
             self._registrations.setdefault(key, []).append((unit, row))
+        self._add_host_rows(summary)
+        self._elapsed += time.perf_counter() - started
+
+    def add_dict(self, data: dict) -> None:
+        self.add(InterfaceSummary.from_dict(data))
+
+    def add_host(self, summary: InterfaceSummary) -> None:
+        """Fold in a dialect's host summary, once per corpus.
+
+        Only its ``bindings`` and ``host_exports`` count, and it is not a
+        unit: the report's unit count and row totals stay those of the
+        units, since host rows dedupe against the unit summaries' own.
+        """
+        started = time.perf_counter()
+        self._add_host_rows(summary)
+        self._elapsed += time.perf_counter() - started
+
+    def _add_host_rows(self, summary: InterfaceSummary) -> None:
         for row in summary.bindings:
             dedupe = (row.symbol, row.type, row.file, row.line, row.detail)
             self._bindings.setdefault(dedupe, row)
         for row in summary.host_exports:
             dedupe = (row.symbol, row.type, row.file, row.line, row.detail)
             self._host_exports.setdefault(dedupe, row)
-        self._elapsed += time.perf_counter() - started
-
-    def add_dict(self, data: dict) -> None:
-        self.add(InterfaceSummary.from_dict(data))
 
     # -- rule helpers ------------------------------------------------------
 

@@ -21,14 +21,18 @@ Five row groups cover the four dialects:
     names the C function it targets.
 ``bindings``
     Host-interface declarations binding a host name to a C symbol
-    (OCaml ``external``, Rust ``extern "C"`` imports).  Host files are
-    shared across units, so the linker dedupes identical binding rows.
+    (OCaml ``external``, Rust ``extern "C"`` imports).
 ``host_exports``
     Symbols the *host side* supplies to C (Rust ``#[no_mangle] extern
     "C"`` definitions), with their canonical C rendering.  They count
-    as definitions for resolution, join the conflicting-declaration
-    claim set when typed, and — like bindings — are deduped because the
-    host files repeat in every unit's summary.
+    as definitions for resolution and join the conflicting-declaration
+    claim set when typed.
+
+The last two groups describe the host side, which every unit of a corpus
+shares.  A unit's summary keeps only the host rows for the C symbols the
+unit mentions; the dialect's host summary holds them all and reaches the
+linker once per corpus (:meth:`~repro.linker.Linker.add_host`).  The
+linker dedupes identical host rows.
 """
 
 from __future__ import annotations

@@ -5,15 +5,20 @@ This is the paper's original configuration, repackaged: ``Γ_I`` comes from
 runtime table is ``caml/mlvalues.h``'s entry points, and the protection
 discipline is ``CAMLparam``/``CAMLlocal``/``CAMLreturn``.
 
-Because every unit in a batch usually shares the same OCaml side, the
-*repository* is memoized per process by content fingerprint; ``Γ_I``
-itself is rebuilt per unit so fresh inference variables never leak between
-units (the unifier must not see another unit's bindings).
+§5.1's two phases split along the same line as the corpus.  The host
+phase runs once per host fingerprint: the *repository*, with its index
+from C names to externals, is memoized per process and in the seed
+artifact tier, and :meth:`OCamlDialect.host_summary` gives the linker
+every ``external`` binding once per corpus.  The unit phase costs what
+the unit costs: ``Γ_I`` holds only the externals whose C names the unit's
+sources mention, rebuilt per unit so fresh inference variables never
+leak between units (the unifier must not see another unit's bindings),
+and the unit summary keeps only the bindings of those names.
 """
 
 from __future__ import annotations
 
-from ..boundary import register_dialect, run_pipeline
+from ..boundary import HOST_UNIT, register_dialect, run_pipeline, unit_names
 from ..cfront.ast import TranslationUnit
 from ..cfront.ir import ProgramIR
 from ..cfront.lower import lower_unit
@@ -31,7 +36,8 @@ from ..linker.extract import summarize_units
 from ..linker.summary import InterfaceSummary, SymbolRow
 from ..seeds import HostSeedMemo
 from ..source import SourceFile
-from .repository import TypeRepository, build_initial_env
+from .ast import ExternalDecl
+from .repository import TypeRepository, build_initial_env, external_c_names
 
 #: Shared memo for parsed repositories: in-process table over the seed
 #: artifact tier over rebuild (see :mod:`repro.seeds`).  A fresh worker
@@ -83,7 +89,9 @@ class OCamlDialect:
     def initial_env(
         self, request: CheckRequest, units: list[TranslationUnit]
     ) -> InitialEnv:
-        return build_initial_env(self.repository_for(request))
+        return build_initial_env(
+            self.repository_for(request), unit_names(request)
+        )
 
     def lower(self, unit: TranslationUnit) -> ProgramIR:
         return lower_unit(unit)
@@ -99,26 +107,37 @@ class OCamlDialect:
 
     def summarize(self, request: CheckRequest, units) -> InterfaceSummary:
         """Link-relevant slice: C exports/externs plus the ``external``
-        bindings of the (shared) host side."""
+        bindings of the C symbols this unit mentions."""
         summary = InterfaceSummary(unit=request.name, dialect=self.name)
         ignore = frozenset(builtin_entries()) | POLYMORPHIC_BUILTINS
         summarize_units(summary, units, ignore=ignore)
-        for external in self.repository_for(request).externals:
-            for c_name in (external.c_name, external.c_name_bytecode):
-                if not c_name:
-                    continue
-                summary.bindings.append(
-                    SymbolRow(
-                        symbol=c_name,
-                        file=external.span.filename,
-                        line=external.span.start.line,
-                        detail=(
-                            f"external {external.ml_name} : "
-                            f"{external.mltype}"
-                        ),
-                    )
-                )
+        names = unit_names(request)
+        for external in self.repository_for(request).externals_named(names):
+            summary.bindings.extend(
+                row for row in _binding_rows(external) if row.symbol in names
+            )
         return summary
+
+    def host_summary(self, request: CheckRequest) -> InterfaceSummary:
+        """Every ``external`` binding of the host side, once per corpus."""
+        summary = InterfaceSummary(unit=HOST_UNIT, dialect=self.name)
+        for external in self.repository_for(request).externals:
+            summary.bindings.extend(_binding_rows(external))
+        return summary
+
+
+def _binding_rows(external: ExternalDecl) -> list[SymbolRow]:
+    """One binding row per C symbol the external names."""
+    detail = f"external {external.ml_name} : {external.mltype}"
+    return [
+        SymbolRow(
+            symbol=c_name,
+            file=external.span.filename,
+            line=external.span.start.line,
+            detail=detail,
+        )
+        for c_name in external_c_names(external)
+    ]
 
 
 OCAML_DIALECT = register_dialect(OCamlDialect())

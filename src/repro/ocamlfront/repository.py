@@ -3,9 +3,15 @@
 As each OCaml source file is analyzed the repository is updated with the
 newly extracted type information, beginning with a pre-generated repository
 for the standard library.  Once all files are in, :func:`build_initial_env`
-performs phase one of the analysis: every ``external`` is translated by
+performs phase one of the analysis: each ``external`` is translated by
 ``Φ`` into a C function type, producing the initial environment ``Γ_I``
 consumed by the C phase.
+
+The repository is built once per host side, and a C unit only needs the
+externals it names.  So the repository keeps a name index next to the
+externals (:attr:`TypeRepository.by_c_name`), and ``build_initial_env``
+can translate just the externals a unit's identifiers select.  The cost
+of that lookup follows the unit, not the host.
 
 Alias and opaque resolution happens here: a named type is replaced by its
 definition body (with type parameters substituted) so that C code sees the
@@ -15,7 +21,7 @@ concrete physical representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..core.checker import InitialEnv, PolyParam
 from ..core.srctypes import (
@@ -108,6 +114,9 @@ class TypeRepository:
 
     types: dict[str, TypeDecl] = field(default_factory=dict)
     externals: list[ExternalDecl] = field(default_factory=list)
+    #: C name (native or bytecode) -> positions in :attr:`externals`,
+    #: in declaration order; kept in step by :meth:`add_unit`
+    by_c_name: dict[str, list[int]] = field(default_factory=dict)
 
     @classmethod
     def with_stdlib(cls) -> "TypeRepository":
@@ -127,13 +136,27 @@ class TypeRepository:
                 # types they hide, when available)
                 continue
             self.types[decl.name] = decl
-        self.externals.extend(unit.externals)
+        for external in unit.externals:
+            position = len(self.externals)
+            self.externals.append(external)
+            for c_name in external_c_names(external):
+                self.by_c_name.setdefault(c_name, []).append(position)
 
     def add_source(self, source: SourceFile) -> None:
         self.add_unit(parse_ml(source))
 
     def add_text(self, text: str, filename: str = "<string>") -> None:
         self.add_unit(parse_ml_text(text, filename))
+
+    def externals_named(self, names: Iterable[str]) -> list[ExternalDecl]:
+        """The externals bound to any of ``names``, in declaration order.
+
+        Looks each name up in :attr:`by_c_name`, so the cost follows
+        ``names`` and the hits, never the number of externals.
+        """
+        index = self.by_c_name
+        hits = {position for name in names for position in index.get(name, ())}
+        return [self.externals[position] for position in sorted(hits)]
 
     # -- resolution ---------------------------------------------------------------
 
@@ -155,11 +178,35 @@ class TypeRepository:
         return substitute(decl.body, mapping)
 
 
-def build_initial_env(repository: TypeRepository) -> InitialEnv:
-    """Phase one (paper §3.1): translate every external via ``Φ``."""
+def external_c_names(external: ExternalDecl) -> tuple[str, ...]:
+    """The C symbols an external binds: its name, plus the second name
+    of the arity > 5 convention."""
+    return tuple(
+        name for name in (external.c_name, external.c_name_bytecode) if name
+    )
+
+
+def build_initial_env(
+    repository: TypeRepository, names: Optional[Iterable[str]] = None
+) -> InitialEnv:
+    """Phase one (paper §3.1): translate externals via ``Φ``.
+
+    With ``names`` (the identifiers of one C unit), only the externals
+    bound to one of them are translated.  An external the unit never
+    names cannot constrain its entry, so leaving it out changes nothing;
+    extra names only add entries.  Without ``names`` every external is
+    translated.  Either way the entries keep declaration order, share
+    one table of opaque representations, and get fresh inference
+    variables on every call.
+    """
     env = InitialEnv()
     opaque_reprs: dict = {}
-    for external in repository.externals:
+    externals = (
+        repository.externals
+        if names is None
+        else repository.externals_named(names)
+    )
+    for external in externals:
         saw_poly_variant = False
 
         def on_poly_variant(_variant: SPolyVariant) -> None:

@@ -17,7 +17,7 @@ tallies, caching, and rendering need no dialect-specific code.
 
 from __future__ import annotations
 
-from ..boundary import register_dialect, run_pipeline
+from ..boundary import HOST_UNIT, register_dialect, run_pipeline
 from ..cfront.ast import TranslationUnit
 from ..cfront.ir import ProgramIR
 from ..cfront.lower import lower_unit
@@ -108,6 +108,10 @@ class PyExtDialect:
                         function_row(fn, detail=fn.name)
                     )
         return summary
+
+    def host_summary(self, request: CheckRequest) -> InterfaceSummary:
+        """No host side: the boundary contract lives in the C units."""
+        return InterfaceSummary(unit=HOST_UNIT, dialect=self.name)
 
 
 PYEXT_DIALECT = register_dialect(PyExtDialect())

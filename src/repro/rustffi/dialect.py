@@ -16,12 +16,15 @@ The summary side is what makes the dialect whole-program: Rust imports
 become typed *bindings* (claims the linker compares against C
 declarations of the same symbol) and Rust exports become
 *host_exports* (definitions supplied from the host side), both
-rendered to canonical C so agreement is string equality.
+rendered to canonical C so agreement is string equality.  The whole
+Rust side reaches the linker once per corpus through
+:meth:`RustFfiDialect.host_summary`; a unit's own summary keeps only
+the rows for the symbols it mentions.
 """
 
 from __future__ import annotations
 
-from ..boundary import register_dialect, run_pipeline
+from ..boundary import HOST_UNIT, register_dialect, run_pipeline, unit_names
 from ..cfront.ast import TranslationUnit
 from ..cfront.ir import ProgramIR
 from ..cfront.lower import lower_unit
@@ -103,14 +106,33 @@ class RustFfiDialect:
 
     def summarize(self, request: CheckRequest, units) -> InterfaceSummary:
         """Link-relevant slice: C exports/externs plus the Rust side's
-        typed imports (bindings) and ``#[no_mangle]`` exports."""
+        typed imports (bindings) and ``#[no_mangle]`` exports of the
+        symbols this unit mentions."""
         summary = InterfaceSummary(unit=request.name, dialect=self.name)
         summarize_units(summary, units)
+        return self._host_rows(request, summary, unit_names(request))
+
+    def host_summary(self, request: CheckRequest) -> InterfaceSummary:
+        """Every typed import and export of the Rust side, once per corpus."""
+        summary = InterfaceSummary(unit=HOST_UNIT, dialect=self.name)
+        return self._host_rows(request, summary)
+
+    def _host_rows(
+        self,
+        request: CheckRequest,
+        summary: InterfaceSummary,
+        names: frozenset[str] | None = None,
+    ) -> InterfaceSummary:
         interface = self.interface_for(request)
-        for fn in interface.imports:
-            summary.bindings.append(self._row(fn, interface))
-        for fn in interface.exports:
-            summary.host_exports.append(self._row(fn, interface))
+        for rows, fns in (
+            (summary.bindings, interface.imports),
+            (summary.host_exports, interface.exports),
+        ):
+            rows.extend(
+                self._row(fn, interface)
+                for fn in fns
+                if names is None or fn.symbol in names
+            )
         return summary
 
     def _row(self, fn: RustFn, interface: RustInterface) -> SymbolRow:

@@ -14,7 +14,11 @@ throws away almost all of the warm path's headroom.  The
   valid until the engine's revision changes (an ``invalidate``, a
   ``reload``, or a check that actually re-analyzed something bumps it).
   Repeat requests at the same revision are served straight from the
-  memo: no engine lock, no re-serialization, just an id splice.
+  memo: no engine lock, no re-serialization, just an id splice.  A
+  check that re-ran edited units moves the engine to a new revision, so
+  its leader also files, under that revision, the response an unchanged
+  re-check gives there (:meth:`CheckCoalescer.remember`): the first
+  re-check after an edit is a memo hit too.
 
 Entries are keyed on ``(params digest, engine revision)``, so a check
 that races an invalidation can only ever observe *fresher* results than
@@ -128,11 +132,20 @@ class CheckCoalescer:
         """Leader publishes: memoize the fragment and wake every follower."""
         with self._lock:
             self._inflight.pop(entry.key, None)
-            self._memo[entry.key] = fragment
-            self._memo.move_to_end(entry.key)
-            while len(self._memo) > self._memo_entries:
-                self._memo.popitem(last=False)
+            self._remember(entry.key, fragment)
         entry.future.set_result(fragment)
+
+    def remember(self, key: Hashable, fragment: str) -> None:
+        """Memoize ``fragment`` under ``key`` with no computation in flight
+        (the caller vouches that it is the response for ``key``)."""
+        with self._lock:
+            self._remember(key, fragment)
+
+    def _remember(self, key: Hashable, fragment: str) -> None:
+        self._memo[key] = fragment
+        self._memo.move_to_end(key)
+        while len(self._memo) > self._memo_entries:
+            self._memo.popitem(last=False)
 
     def fail(self, entry: InflightEntry, exc: BaseException) -> None:
         """Leader failed (or was shed): propagate to followers, memoize

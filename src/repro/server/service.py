@@ -20,9 +20,10 @@ Methods:
 
     ``check`` is **coalesced** (:mod:`repro.server.coalesce`): identical
     concurrent requests share one computation, and repeat requests at an
-    unchanged engine revision replay the memoized encoded result.  The
-    coalesced response is byte-identical to an uncoalesced one except
-    for the echoed ``id`` (timing fields replay the leader's values).
+    unchanged engine revision replay the memoized encoded result, as does
+    the first re-check after an edit.  The coalesced response is
+    byte-identical to an uncoalesced one except for the echoed ``id``
+    (timing fields replay the leader's values).
 
     Optional ``link: true`` also runs the whole-program link pass over
     the corpus's interface summaries and attaches its report as a
@@ -224,19 +225,15 @@ class AnalysisService:
         Reading the revision *before* the lookup is the safety argument:
         a memo filed under this key encodes state at least as new as the
         revision, so coalesced responses are never staler than an
-        uncoalesced check issued at the same moment."""
+        uncoalesced check issued at the same moment.  The one memo filed
+        under a later revision than its computation was keyed at (the
+        settled response, see :meth:`lead_check`) encodes exactly the
+        state at that revision, which the engine read under its lock."""
         self._validate_check_params(params)
         digest = hashlib.sha256(
             protocol.encode_fragment(params).encode("utf-8")
         ).hexdigest()
         return (digest, self.engine.revision)
-
-    def compute_check(self, params: dict) -> str:
-        """Run the engine check and return the encoded result fragment."""
-        with span("engine", cat="phase"):
-            data = self._check(params)
-        with span("encode", cat="phase"):
-            return protocol.encode_fragment(data)
 
     def check_line(self, request: protocol.Request) -> str:
         """One coalesced ``check``: blocking form for sync transports."""
@@ -267,14 +264,35 @@ class AnalysisService:
     def lead_check(self, entry: InflightEntry, params: dict) -> str:
         """Compute as coalescing leader and publish to every follower.
 
+        A check that re-ran edited units bumps the engine revision, so
+        this response is never replayed again.  The leader then also
+        files the *settled* response — what an unchanged re-check
+        returns at the new revision — so the first re-check after an
+        edit is a memo hit.  Edit then re-check is the editor loop's
+        repeated step; a session's first check happens once, and the
+        check after it computes as it always did.
+
         Raises on failure (after propagating the same failure to the
         followers) — the caller renders it with :meth:`error_for`."""
         try:
-            fragment = self.compute_check(params)
+            with span("engine", cat="phase"):
+                report, link_report = self._run_check(params)
+            with span("encode", cat="phase"):
+                fragment = protocol.encode_fragment(
+                    self._check_data(report, link_report)
+                )
         except BaseException as exc:
             self.coalescer.fail(entry, exc)
             raise
         self.coalescer.resolve(entry, fragment)
+        settled = self.engine.settled(report) if report.rechecked else None
+        if settled is not None:
+            with span("encode-settled", cat="phase"):
+                encoded = protocol.encode_fragment(
+                    self._check_data(settled, link_report)
+                )
+            digest, _revision = entry.key
+            self.coalescer.remember((digest, report.revision), encoded)
         return fragment
 
     def error_for(self, request_id, exc: BaseException) -> dict:
@@ -317,17 +335,25 @@ class AnalysisService:
                 protocol.INVALID_PARAMS, "link must be a boolean"
             )
 
-    def _check(self, params: dict) -> dict:
+    def _run_check(self, params: dict):
+        """The engine work behind ``check``: its report, plus the link
+        report when ``link`` is set (``None`` otherwise)."""
         self._validate_check_params(params)
         if params.get("link"):
             # the link pass spans the whole corpus, so a linked check
             # ignores any units restriction and brings everything current
-            report, link_report = self.engine.link()
-            data = report.to_dict()
+            return self.engine.link()
+        return self.engine.check(params.get("units")), None
+
+    @staticmethod
+    def _check_data(report, link_report) -> dict:
+        data = report.to_dict()
+        if link_report is not None:
             data["link"] = link_report.to_dict()
-            return data
-        report = self.engine.check(params.get("units"))
-        return report.to_dict()
+        return data
+
+    def _check(self, params: dict) -> dict:
+        return self._check_data(*self._run_check(params))
 
     def _link(self, params: dict) -> dict:
         return self._check({**params, "link": True})

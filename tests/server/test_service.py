@@ -220,6 +220,70 @@ class TestWireStability:
             assert wire.encode() == direct.encode(), unit.name
 
 
+def without_timings(result: dict) -> dict:
+    """A check result with its measured times dropped."""
+    result = dict(result)
+    result.pop("elapsed_seconds")
+    result["units"] = [
+        {k: v for k, v in unit.items() if k != "probe_seconds"}
+        for unit in result["units"]
+    ]
+    if "link" in result:
+        result["link"] = {
+            k: v for k, v in result["link"].items() if k != "elapsed_seconds"
+        }
+    return result
+
+
+class TestSettledMemo:
+    """A check that re-ran edited units files, under the engine's new
+    revision, the response an unchanged re-check gives there."""
+
+    @pytest.mark.parametrize("params", [{}, {"link": True}], ids=["plain", "link"])
+    def test_first_noop_after_an_edit_is_a_memo_hit(self, service, tree, params):
+        def wire_check(request_id):
+            frame = {"id": request_id, "method": "check", "params": params}
+            return json.loads(service.handle_line(json.dumps(frame)))
+
+        wire_check(1)
+        (tree / "good.c").write_text(GOOD_C + "\n/* edit */\n")
+        call(service, "invalidate", {"paths": ["good.c"]})
+        edited = wire_check(2)["result"]
+        assert [p.rsplit("/", 1)[-1] for p in edited["incremental"]["ran"]] == [
+            "good.c"
+        ]
+        before = service.coalescer.stats()
+        replay = wire_check(3)
+        after = service.coalescer.stats()
+        assert after["coalesced_memo"] == before["coalesced_memo"] + 1
+        assert after["computed"] == before["computed"]
+        assert replay["id"] == 3
+        assert replay["result"]["incremental"]["ran"] == []
+        assert replay["result"]["incremental"]["reused"] == 2
+        # the engine's own answer to the same re-check, uncoalesced
+        direct = call(service, "check", params)["result"]
+        assert without_timings(replay["result"]) == without_timings(direct)
+
+    def test_no_settled_report_once_the_engine_moves_on(self, service, tree):
+        engine = service.engine
+        engine.check()
+        (tree / "good.c").write_text(GOOD_C + "\n/* edit */\n")
+        engine.invalidate(["good.c"])
+        report = engine.check()
+        assert report.rechecked
+        assert engine.settled(report).reused == len(report.results)
+        engine.invalidate(["good.c"])
+        assert engine.settled(report) is None
+
+    def test_first_check_leaves_the_next_one_to_the_engine(self, service):
+        # a first check has no earlier results to re-run; the check after
+        # it computes, and from then on the revision memo serves repeats
+        service.handle_line(json.dumps({"id": 1, "method": "check"}))
+        second = service.handle_line(json.dumps({"id": 2, "method": "check"}))
+        assert json.loads(second)["result"]["incremental"]["ran"] == []
+        assert service.coalescer.stats()["computed"] == 2
+
+
 class TestSession:
     def test_session_context_manager_checks(self, tree):
         with Session(tree) as session:

@@ -188,6 +188,17 @@ def test_link_smoke_gates_recall_rss_and_exit_codes(workflow):
     assert job["needs"] == ["test"]
     runs = " ".join(step.get("run", "") for step in job["steps"])
     assert "bench_link.py --quick" in runs
+    # a second leg at 4000 units, one process, under the same watchdog:
+    # per-unit host work that grows with the host would blow it
+    (large_leg,) = [
+        s["run"]
+        for s in job["steps"]
+        if "bench_link.py --units 4000" in s.get("run", "")
+    ]
+    assert (
+        "timeout 900 python benchmarks/bench_link.py --units 4000 --jobs 1"
+        in large_leg
+    )
     # every seeded corpus must be exit-code visible for all four dialects
     assert "mlffi-check link" in runs
     assert "--strict" in runs
@@ -267,6 +278,7 @@ STEPS = {
     "link-smoke": [
         "Install package",
         "Link benchmark (streamed RSS gate)",
+        "Link benchmark (4000 units, host phase once per corpus)",
         "Seeded example corpora exit-code gates",
         "Parallel sweep exit-code gate",
         "Upload link report",

@@ -23,6 +23,15 @@ def kinds(report):
     return sorted(d.kind.name for d in report.diagnostics)
 
 
+def host_summary_of(project):
+    """The project's host rows, as every link driver folds them in."""
+    from repro.boundary import get_dialect, host_summary
+
+    return host_summary(
+        get_dialect(project.dialect), tuple(project.ocaml_sources)
+    )
+
+
 class TestSummaryRoundTrip:
     def test_symbol_row_round_trips(self):
         row = SymbolRow("ml_f", "value(value)", "a.c", 12, "external f")
@@ -378,6 +387,7 @@ class TestDialectExtraction:
             assert list(result.diagnostics) == []
             assert result.summary is not None
             linker.add_dict(result.summary)
+        linker.add_host(host_summary_of(project))
         link_report = linker.report()
         assert kinds(link_report) == sorted(self.EXPECTED[dialect])
         assert link_report.tally()["errors"] == 2
@@ -395,6 +405,7 @@ class TestDialectExtraction:
             rebuilt = CheckResult.from_dict(result.to_dict())
             assert rebuilt.summary == result.summary
             linker.add_dict(rebuilt.summary)
+        linker.add_host(host_summary_of(project))
         assert kinds(linker.report()) == sorted(self.EXPECTED["ocaml"])
 
 
