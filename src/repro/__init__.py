@@ -18,40 +18,47 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured results.
 """
 
-from .api import Project, analyze_project, check_c_source
-from .core.checker import AnalysisReport, Checker, InitialEnv
-from .core.exprs import Options
-from .diagnostics import Category, Diagnostic, DiagnosticBag, Kind
-from .engine import (
-    BatchReport,
-    CheckRequest,
-    CheckResult,
-    NullCache,
-    ResultCache,
-    run_batch,
-)
-from .source import SourceFile
+from importlib import import_module
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "AnalysisReport",
-    "BatchReport",
-    "Category",
-    "Checker",
-    "CheckRequest",
-    "CheckResult",
-    "Diagnostic",
-    "DiagnosticBag",
-    "InitialEnv",
-    "Kind",
-    "NullCache",
-    "Options",
-    "Project",
-    "ResultCache",
-    "SourceFile",
-    "analyze_project",
-    "check_c_source",
-    "run_batch",
-    "__version__",
-]
+
+def _lazy_exports(package: str, exports: dict[str, str]):
+    """A PEP 562 module ``__getattr__`` for ``package``: each public name
+    is imported from its submodule on first access, then cached."""
+    namespace = vars(import_module(package))
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(exports[name], package), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+#: public name -> the submodule defining it, imported on first access:
+#: ``import repro.cli`` pays only for what the command runs
+_EXPORTS = {
+    "AnalysisReport": ".core.checker",
+    "BatchReport": ".engine",
+    "Category": ".diagnostics",
+    "Checker": ".core.checker",
+    "CheckRequest": ".engine",
+    "CheckResult": ".engine",
+    "Diagnostic": ".diagnostics",
+    "DiagnosticBag": ".diagnostics",
+    "InitialEnv": ".core.checker",
+    "Kind": ".diagnostics",
+    "NullCache": ".engine",
+    "Options": ".core.exprs",
+    "Project": ".api",
+    "ResultCache": ".engine",
+    "SourceFile": ".source",
+    "analyze_project": ".api",
+    "check_c_source": ".api",
+    "run_batch": ".engine",
+}
+__getattr__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = [*_EXPORTS, "__version__"]

@@ -12,27 +12,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .boundary import get_dialect, lower_units
 from .cfront.ir import ProgramIR
 from .corpus import scan_tree
 from .core.checker import AnalysisReport, InitialEnv
 from .core.exprs import Options
-from .engine import (
-    DEFAULT_MAX_ENTRIES,
-    BatchReport,
-    CheckRequest,
-    IncrementalEngine,
-    IncrementalReport,
-    NullCache,
-    ResultCache,
-    run_batch,
-)
-from .engine.scheduler import Cache
+from .defaults import DEFAULT_MAX_ENTRIES
+from .engine.jobs import BatchReport, CheckRequest
 from .engine.worker import analyze_request
-from .ocamlfront.repository import TypeRepository
 from .source import SourceFile
+
+if TYPE_CHECKING:
+    from .engine.incremental import IncrementalReport
+    from .engine.stream import Cache
+    from .ocamlfront.repository import TypeRepository
 
 SourceLike = Union[str, SourceFile]
 
@@ -86,6 +81,8 @@ class Project:
         return project
 
     def build_repository(self) -> TypeRepository:
+        from .ocamlfront.repository import TypeRepository
+
         repo = TypeRepository.with_stdlib()
         for source in self.ocaml_sources:
             repo.add_source(source)
@@ -161,6 +158,8 @@ class Project:
         trace: bool = False,
     ) -> BatchReport:
         """Analyze every C file as its own unit via the batch engine."""
+        from .engine.scheduler import run_batch
+
         return run_batch(
             self.to_requests(options, trace=trace), jobs=jobs, cache=cache
         )
@@ -196,6 +195,9 @@ class Session:
         cache: Optional[Cache] = None,
         memory_max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
     ):
+        from .engine.cache import NullCache, ResultCache
+        from .engine.incremental import IncrementalEngine
+
         if cache is None:
             cache = ResultCache(cache_dir) if cache_dir is not None else NullCache()
         self.engine = IncrementalEngine(

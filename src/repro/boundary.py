@@ -45,6 +45,7 @@ changes.
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from .cfront.ir import ProgramIR
@@ -241,7 +242,15 @@ def unit_dependencies(request: "CheckRequest") -> tuple[str, ...]:
 
 
 _REGISTRY: dict[str, BoundaryDialect] = {}
-_BOOTSTRAPPED = False
+
+#: the built-in dialects: name -> the module that defines and registers
+#: it, imported the first time :func:`get_dialect` asks for that name
+BUILTIN_DIALECTS: dict[str, str] = {
+    "jni": "repro.jni.dialect",
+    "ocaml": "repro.ocamlfront.dialect",
+    "pyext": "repro.pyext.dialect",
+    "rust": "repro.rustffi.dialect",
+}
 
 
 def register_dialect(dialect: BoundaryDialect) -> BoundaryDialect:
@@ -250,31 +259,21 @@ def register_dialect(dialect: BoundaryDialect) -> BoundaryDialect:
     return dialect
 
 
-def _bootstrap() -> None:
-    """Import the built-in dialect modules (they self-register)."""
-    global _BOOTSTRAPPED
-    if _BOOTSTRAPPED:
-        return
-    _BOOTSTRAPPED = True
-    from .jni import dialect as _jni  # noqa: F401
-    from .ocamlfront import dialect as _ocaml  # noqa: F401
-    from .pyext import dialect as _pyext  # noqa: F401
-    from .rustffi import dialect as _rust  # noqa: F401
-
-
 def get_dialect(name: str) -> BoundaryDialect:
-    """Resolve a dialect by name, loading the built-ins on first use."""
-    _bootstrap()
+    """Resolve a dialect by name, importing only that built-in's module
+    on first use."""
+    if name not in _REGISTRY and name in BUILTIN_DIALECTS:
+        import_module(BUILTIN_DIALECTS[name])
     try:
         return _REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(available_dialects())
         raise ValueError(
             f"unknown boundary dialect `{name}` (known: {known})"
         ) from None
 
 
 def available_dialects() -> tuple[str, ...]:
-    """Names of every registered dialect, sorted."""
-    _bootstrap()
-    return tuple(sorted(_REGISTRY))
+    """Names of every built-in and registered dialect, sorted; imports
+    nothing."""
+    return tuple(sorted({*BUILTIN_DIALECTS, *_REGISTRY}))

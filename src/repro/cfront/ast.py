@@ -9,122 +9,161 @@ by the lowering).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from ..core.srctypes import CSrcType
 from ..source import DUMMY_SPAN, Span
+from .node import FrozenNode, Node, init_field
 
 
 # -- expressions -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Num:
-    value: int
-    span: Span = DUMMY_SPAN
+class Num(FrozenNode):
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: int, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "value", value)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Str:
-    value: str
-    span: Span = DUMMY_SPAN
+class Str(FrozenNode):
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: str, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "value", value)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Name:
-    ident: str
-    span: Span = DUMMY_SPAN
+class Name(FrozenNode):
+    __slots__ = ("ident", "span")
+
+    def __init__(self, ident: str, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "ident", ident)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Unary:
-    op: str  # ! ~ - * &
-    operand: "CExpr"
-    span: Span = DUMMY_SPAN
+class Unary(FrozenNode):
+    __slots__ = ("op", "operand", "span")
+
+    def __init__(self, op: str, operand: "CExpr", span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "op", op)  # ! ~ - * &
+        init_field(self, "operand", operand)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Binary:
-    op: str
-    left: "CExpr"
-    right: "CExpr"
-    span: Span = DUMMY_SPAN
+class Binary(FrozenNode):
+    __slots__ = ("op", "left", "right", "span")
+
+    def __init__(
+        self, op: str, left: "CExpr", right: "CExpr", span: Span = DUMMY_SPAN
+    ) -> None:
+        init_field(self, "op", op)
+        init_field(self, "left", left)
+        init_field(self, "right", right)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Conditional:
-    cond: "CExpr"
-    then: "CExpr"
-    other: "CExpr"
-    span: Span = DUMMY_SPAN
+class Conditional(FrozenNode):
+    __slots__ = ("cond", "then", "other", "span")
+
+    def __init__(
+        self, cond: "CExpr", then: "CExpr", other: "CExpr", span: Span = DUMMY_SPAN
+    ) -> None:
+        init_field(self, "cond", cond)
+        init_field(self, "then", then)
+        init_field(self, "other", other)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Cast:
-    ctype: CSrcType
-    operand: "CExpr"
-    span: Span = DUMMY_SPAN
+class Cast(FrozenNode):
+    __slots__ = ("ctype", "operand", "span")
+
+    def __init__(
+        self, ctype: CSrcType, operand: "CExpr", span: Span = DUMMY_SPAN
+    ) -> None:
+        init_field(self, "ctype", ctype)
+        init_field(self, "operand", operand)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
-    func: "CExpr"
-    args: Tuple["CExpr", ...]
-    span: Span = DUMMY_SPAN
+class Call(FrozenNode):
+    __slots__ = ("func", "args", "span")
+
+    def __init__(
+        self, func: "CExpr", args: Tuple["CExpr", ...], span: Span = DUMMY_SPAN
+    ) -> None:
+        init_field(self, "func", func)
+        init_field(self, "args", args)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Index:
-    base: "CExpr"
-    index: "CExpr"
-    span: Span = DUMMY_SPAN
+class Index(FrozenNode):
+    __slots__ = ("base", "index", "span")
+
+    def __init__(self, base: "CExpr", index: "CExpr", span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "base", base)
+        init_field(self, "index", index)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Member:
-    base: "CExpr"
-    field_name: str
-    arrow: bool
-    span: Span = DUMMY_SPAN
+class Member(FrozenNode):
+    __slots__ = ("base", "field_name", "arrow", "span")
+
+    def __init__(
+        self, base: "CExpr", field_name: str, arrow: bool, span: Span = DUMMY_SPAN
+    ) -> None:
+        init_field(self, "base", base)
+        init_field(self, "field_name", field_name)
+        init_field(self, "arrow", arrow)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class SizeOf:
+class SizeOf(FrozenNode):
     """``sizeof(type)`` or ``sizeof expr`` — folded to the word size."""
 
-    span: Span = DUMMY_SPAN
+    __slots__ = ("span",)
+
+    def __init__(self, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Assign:
+class Assign(FrozenNode):
     """``lhs op= rhs`` as an expression (op is '' for plain assignment)."""
 
-    op: str
-    target: "CExpr"
-    value: "CExpr"
-    span: Span = DUMMY_SPAN
+    __slots__ = ("op", "target", "value", "span")
+
+    def __init__(
+        self, op: str, target: "CExpr", value: "CExpr", span: Span = DUMMY_SPAN
+    ) -> None:
+        init_field(self, "op", op)
+        init_field(self, "target", target)
+        init_field(self, "value", value)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class IncDec:
+class IncDec(FrozenNode):
     """``x++ / ++x / x-- / --x``."""
 
-    op: str  # '++' or '--'
-    target: "CExpr"
-    span: Span = DUMMY_SPAN
+    __slots__ = ("op", "target", "span")
+
+    def __init__(self, op: str, target: "CExpr", span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "op", op)  # '++' or '--'
+        init_field(self, "target", target)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class InitItem:
+class InitItem(FrozenNode):
     """One element of a brace initializer, optionally designated."""
 
-    value: "CExpr"
-    field_name: Optional[str] = None
+    __slots__ = ("value", "field_name")
+
+    def __init__(self, value: "CExpr", field_name: Optional[str] = None) -> None:
+        init_field(self, "value", value)
+        init_field(self, "field_name", field_name)
 
 
-@dataclass(frozen=True, slots=True)
-class InitList:
+class InitList(FrozenNode):
     """A brace initializer ``{ e, .f = e, { ... }, ... }``.
 
     The analysis does not evaluate these (aggregate initialization is
@@ -133,8 +172,13 @@ class InitList:
     survive parsing and can be read by dialect front-ends.
     """
 
-    items: Tuple["InitItem", ...] = ()
-    span: Span = DUMMY_SPAN
+    __slots__ = ("items", "span")
+
+    def __init__(
+        self, items: Tuple["InitItem", ...] = (), span: Span = DUMMY_SPAN
+    ) -> None:
+        init_field(self, "items", items)
+        init_field(self, "span", span)
 
 
 CExpr = Union[
@@ -146,95 +190,142 @@ CExpr = Union[
 # -- statements ----------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Block:
-    items: list["CStmtOrDecl"] = field(default_factory=list)
-    span: Span = DUMMY_SPAN
+class Block(Node):
+    __slots__ = ("items", "span")
+
+    def __init__(
+        self, items: Optional[list["CStmtOrDecl"]] = None, span: Span = DUMMY_SPAN
+    ) -> None:
+        self.items = [] if items is None else items
+        self.span = span
 
 
-@dataclass(slots=True)
-class ExprStmt:
-    expr: CExpr
-    span: Span = DUMMY_SPAN
+class ExprStmt(Node):
+    __slots__ = ("expr", "span")
+
+    def __init__(self, expr: CExpr, span: Span = DUMMY_SPAN) -> None:
+        self.expr = expr
+        self.span = span
 
 
-@dataclass(slots=True)
-class IfStmt:
-    cond: CExpr
-    then: "CStmt"
-    other: Optional["CStmt"]
-    span: Span = DUMMY_SPAN
+class IfStmt(Node):
+    __slots__ = ("cond", "then", "other", "span")
+
+    def __init__(
+        self,
+        cond: CExpr,
+        then: "CStmt",
+        other: Optional["CStmt"],
+        span: Span = DUMMY_SPAN,
+    ) -> None:
+        self.cond = cond
+        self.then = then
+        self.other = other
+        self.span = span
 
 
-@dataclass(slots=True)
-class WhileStmt:
-    cond: CExpr
-    body: "CStmt"
-    span: Span = DUMMY_SPAN
+class WhileStmt(Node):
+    __slots__ = ("cond", "body", "span")
+
+    def __init__(self, cond: CExpr, body: "CStmt", span: Span = DUMMY_SPAN) -> None:
+        self.cond = cond
+        self.body = body
+        self.span = span
 
 
-@dataclass(slots=True)
-class DoWhileStmt:
-    body: "CStmt"
-    cond: CExpr
-    span: Span = DUMMY_SPAN
+class DoWhileStmt(Node):
+    __slots__ = ("body", "cond", "span")
+
+    def __init__(self, body: "CStmt", cond: CExpr, span: Span = DUMMY_SPAN) -> None:
+        self.body = body
+        self.cond = cond
+        self.span = span
 
 
-@dataclass(slots=True)
-class ForStmt:
-    init: Optional["CStmtOrDecl"]
-    cond: Optional[CExpr]
-    step: Optional[CExpr]
-    body: "CStmt"
-    span: Span = DUMMY_SPAN
+class ForStmt(Node):
+    __slots__ = ("init", "cond", "step", "body", "span")
+
+    def __init__(
+        self,
+        init: Optional["CStmtOrDecl"],
+        cond: Optional[CExpr],
+        step: Optional[CExpr],
+        body: "CStmt",
+        span: Span = DUMMY_SPAN,
+    ) -> None:
+        self.init = init
+        self.cond = cond
+        self.step = step
+        self.body = body
+        self.span = span
 
 
-@dataclass(slots=True)
-class SwitchCase:
-    value: Optional[int]  # None for default
-    body: list["CStmtOrDecl"]
-    span: Span = DUMMY_SPAN
+class SwitchCase(Node):
+    __slots__ = ("value", "body", "span")
+
+    def __init__(
+        self, value: Optional[int], body: list["CStmtOrDecl"], span: Span = DUMMY_SPAN
+    ) -> None:
+        self.value = value  # None for default
+        self.body = body
+        self.span = span
 
 
-@dataclass(slots=True)
-class SwitchStmt:
-    scrutinee: CExpr
-    cases: list[SwitchCase]
-    span: Span = DUMMY_SPAN
+class SwitchStmt(Node):
+    __slots__ = ("scrutinee", "cases", "span")
+
+    def __init__(
+        self, scrutinee: CExpr, cases: list[SwitchCase], span: Span = DUMMY_SPAN
+    ) -> None:
+        self.scrutinee = scrutinee
+        self.cases = cases
+        self.span = span
 
 
-@dataclass(slots=True)
-class ReturnStmt:
-    value: Optional[CExpr]
-    span: Span = DUMMY_SPAN
+class ReturnStmt(Node):
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: Optional[CExpr], span: Span = DUMMY_SPAN) -> None:
+        self.value = value
+        self.span = span
 
 
-@dataclass(slots=True)
-class GotoStmt:
-    label: str
-    span: Span = DUMMY_SPAN
+class GotoStmt(Node):
+    __slots__ = ("label", "span")
+
+    def __init__(self, label: str, span: Span = DUMMY_SPAN) -> None:
+        self.label = label
+        self.span = span
 
 
-@dataclass(slots=True)
-class LabeledStmt:
-    label: str
-    stmt: "CStmt"
-    span: Span = DUMMY_SPAN
+class LabeledStmt(Node):
+    __slots__ = ("label", "stmt", "span")
+
+    def __init__(self, label: str, stmt: "CStmt", span: Span = DUMMY_SPAN) -> None:
+        self.label = label
+        self.stmt = stmt
+        self.span = span
 
 
-@dataclass(slots=True)
-class BreakStmt:
-    span: Span = DUMMY_SPAN
+class BreakStmt(Node):
+    __slots__ = ("span",)
+
+    def __init__(self, span: Span = DUMMY_SPAN) -> None:
+        self.span = span
 
 
-@dataclass(slots=True)
-class ContinueStmt:
-    span: Span = DUMMY_SPAN
+class ContinueStmt(Node):
+    __slots__ = ("span",)
+
+    def __init__(self, span: Span = DUMMY_SPAN) -> None:
+        self.span = span
 
 
-@dataclass(slots=True)
-class EmptyStmt:
-    span: Span = DUMMY_SPAN
+class EmptyStmt(Node):
+    __slots__ = ("span",)
+
+    def __init__(self, span: Span = DUMMY_SPAN) -> None:
+        self.span = span
 
 
 CStmt = Union[
@@ -243,14 +334,18 @@ CStmt = Union[
 ]
 
 
-@dataclass(slots=True)
-class Declaration:
+class Declaration(Node):
     """``ctype name = init;`` — one declarator per Declaration node."""
 
-    name: str
-    ctype: CSrcType
-    init: Optional[CExpr]
-    span: Span = DUMMY_SPAN
+    __slots__ = ("name", "ctype", "init", "span")
+
+    def __init__(
+        self, name: str, ctype: CSrcType, init: Optional[CExpr], span: Span = DUMMY_SPAN
+    ) -> None:
+        self.name = name
+        self.ctype = ctype
+        self.init = init
+        self.span = span
 
 
 CStmtOrDecl = Union[CStmt, Declaration]
@@ -259,27 +354,48 @@ CStmtOrDecl = Union[CStmt, Declaration]
 # -- top level --------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class FunctionDef:
-    name: str
-    return_type: CSrcType
-    params: list[tuple[str, CSrcType]]
-    body: Optional[Block]  # None for prototypes
-    span: Span = DUMMY_SPAN
-    #: ``/*@ polymorphic @*/`` annotation (paper §5.1 hand annotations)
-    polymorphic: bool = False
+class FunctionDef(Node):
+    __slots__ = ("name", "return_type", "params", "body", "span", "polymorphic")
+
+    def __init__(
+        self,
+        name: str,
+        return_type: CSrcType,
+        params: list[tuple[str, CSrcType]],
+        body: Optional[Block],
+        span: Span = DUMMY_SPAN,
+        polymorphic: bool = False,
+    ) -> None:
+        self.name = name
+        self.return_type = return_type
+        self.params = params
+        self.body = body  # None for prototypes
+        self.span = span
+        #: ``/*@ polymorphic @*/`` annotation (paper §5.1 hand annotations)
+        self.polymorphic = polymorphic
 
 
-@dataclass(slots=True)
-class GlobalDecl:
-    name: str
-    ctype: CSrcType
-    init: Optional[CExpr]
-    span: Span = DUMMY_SPAN
+class GlobalDecl(Node):
+    __slots__ = ("name", "ctype", "init", "span")
+
+    def __init__(
+        self, name: str, ctype: CSrcType, init: Optional[CExpr], span: Span = DUMMY_SPAN
+    ) -> None:
+        self.name = name
+        self.ctype = ctype
+        self.init = init
+        self.span = span
 
 
-@dataclass(slots=True)
-class TranslationUnit:
-    functions: list[FunctionDef] = field(default_factory=list)
-    globals: list[GlobalDecl] = field(default_factory=list)
-    filename: str = "<unknown>"
+class TranslationUnit(Node):
+    __slots__ = ("functions", "globals", "filename")
+
+    def __init__(
+        self,
+        functions: Optional[list[FunctionDef]] = None,
+        globals: Optional[list[GlobalDecl]] = None,
+        filename: str = "<unknown>",
+    ) -> None:
+        self.functions = [] if functions is None else functions
+        self.globals = [] if globals is None else globals
+        self.filename = filename

@@ -13,11 +13,11 @@ statement (the paper folds this into its (App) rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from ..core.srctypes import CSrcType
 from ..source import DUMMY_SPAN, Span
+from .node import FrozenNode, Node, init_field
 
 
 # ---------------------------------------------------------------------------
@@ -25,115 +25,137 @@ from ..source import DUMMY_SPAN, Span
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class IntLit:
+class IntLit(FrozenNode):
     """An integer constant ``n``."""
 
-    value: int
-    span: Span = DUMMY_SPAN
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: int, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "value", value)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
-class StrLit:
+class StrLit(FrozenNode):
     """A C string literal; typed as ``char *`` (scalar pointer)."""
 
-    value: str
-    span: Span = DUMMY_SPAN
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: str, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "value", value)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return repr(self.value)
 
 
-@dataclass(frozen=True, slots=True)
-class VarExp:
+class VarExp(FrozenNode):
     """A variable reference ``x``."""
 
-    name: str
-    span: Span = DUMMY_SPAN
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "name", name)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Deref:
+class Deref(FrozenNode):
     """``*e``."""
 
-    exp: "Expr"
-    span: Span = DUMMY_SPAN
+    __slots__ = ("exp", "span")
+
+    def __init__(self, exp: "Expr", span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "exp", exp)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"*{self.exp}"
 
 
-@dataclass(frozen=True, slots=True)
-class AOp:
+class AOp(FrozenNode):
     """``e aop e`` — arithmetic/comparison on C integers."""
 
-    op: str
-    left: "Expr"
-    right: "Expr"
-    span: Span = DUMMY_SPAN
+    __slots__ = ("op", "left", "right", "span")
+
+    def __init__(
+        self, op: str, left: "Expr", right: "Expr", span: Span = DUMMY_SPAN
+    ) -> None:
+        init_field(self, "op", op)
+        init_field(self, "left", left)
+        init_field(self, "right", right)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True, slots=True)
-class PtrAdd:
+class PtrAdd(FrozenNode):
     """``e +p e`` — address of an offset into a block."""
 
-    base: "Expr"
-    offset: "Expr"
-    span: Span = DUMMY_SPAN
+    __slots__ = ("base", "offset", "span")
+
+    def __init__(self, base: "Expr", offset: "Expr", span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "base", base)
+        init_field(self, "offset", offset)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"({self.base} +p {self.offset})"
 
 
-@dataclass(frozen=True, slots=True)
-class CastExp:
+class CastExp(FrozenNode):
     """``(ct) e``."""
 
-    ctype: CSrcType
-    exp: "Expr"
-    span: Span = DUMMY_SPAN
+    __slots__ = ("ctype", "exp", "span")
+
+    def __init__(self, ctype: CSrcType, exp: "Expr", span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "ctype", ctype)
+        init_field(self, "exp", exp)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"(({self.ctype}) {self.exp})"
 
 
-@dataclass(frozen=True, slots=True)
-class ValIntExp:
+class ValIntExp(FrozenNode):
     """``Val_int e`` — box a C integer as an OCaml unboxed value."""
 
-    exp: "Expr"
-    span: Span = DUMMY_SPAN
+    __slots__ = ("exp", "span")
+
+    def __init__(self, exp: "Expr", span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "exp", exp)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"Val_int({self.exp})"
 
 
-@dataclass(frozen=True, slots=True)
-class IntValExp:
+class IntValExp(FrozenNode):
     """``Int_val e`` — project an OCaml unboxed value to a C integer."""
 
-    exp: "Expr"
-    span: Span = DUMMY_SPAN
+    __slots__ = ("exp", "span")
+
+    def __init__(self, exp: "Expr", span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "exp", exp)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"Int_val({self.exp})"
 
 
-@dataclass(frozen=True, slots=True)
-class AddrOf:
+class AddrOf(FrozenNode):
     """``&x`` — handled heuristically (paper §5.1)."""
 
-    name: str
-    span: Span = DUMMY_SPAN
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "name", name)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"&{self.name}"
@@ -142,14 +164,22 @@ class AddrOf:
 Expr = Union[IntLit, StrLit, VarExp, Deref, AOp, PtrAdd, CastExp, ValIntExp, IntValExp, AddrOf]
 
 
-@dataclass(frozen=True, slots=True)
-class CallExp:
+class CallExp(FrozenNode):
     """A call ``f(e1, ..., en)``; ``func_exp`` is set for indirect calls."""
 
-    func: str
-    args: Tuple[Expr, ...]
-    span: Span = DUMMY_SPAN
-    is_indirect: bool = False
+    __slots__ = ("func", "args", "span", "is_indirect")
+
+    def __init__(
+        self,
+        func: str,
+        args: Tuple[Expr, ...],
+        span: Span = DUMMY_SPAN,
+        is_indirect: bool = False,
+    ) -> None:
+        init_field(self, "func", func)
+        init_field(self, "args", args)
+        init_field(self, "span", span)
+        init_field(self, "is_indirect", is_indirect)
 
     def __str__(self) -> str:
         args = ", ".join(str(a) for a in self.args)
@@ -165,13 +195,15 @@ Rhs = Union[Expr, CallExp]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class MemLval:
+class MemLval(FrozenNode):
     """``*(e +p n)`` — a store into a structured block or through a pointer."""
 
-    base: Expr
-    offset: int
-    span: Span = DUMMY_SPAN
+    __slots__ = ("base", "offset", "span")
+
+    def __init__(self, base: Expr, offset: int, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "base", base)
+        init_field(self, "offset", offset)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         if self.offset:
@@ -187,13 +219,15 @@ Lval = Union[VarExp, MemLval]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SAssign:
+class SAssign(FrozenNode):
     """``lval := e`` or ``lval := f(e, ...)``."""
 
-    lval: Optional[Lval]
-    rhs: Rhs
-    span: Span = DUMMY_SPAN
+    __slots__ = ("lval", "rhs", "span")
+
+    def __init__(self, lval: Optional[Lval], rhs: Rhs, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "lval", lval)
+        init_field(self, "rhs", rhs)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         if self.lval is None:
@@ -201,92 +235,108 @@ class SAssign:
         return f"{self.lval} := {self.rhs}"
 
 
-@dataclass(frozen=True, slots=True)
-class SReturn:
+class SReturn(FrozenNode):
     """``return e``; ``exp`` is None for void returns."""
 
-    exp: Optional[Expr]
-    span: Span = DUMMY_SPAN
+    __slots__ = ("exp", "span")
+
+    def __init__(self, exp: Optional[Expr], span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "exp", exp)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"return {self.exp}" if self.exp is not None else "return"
 
 
-@dataclass(frozen=True, slots=True)
-class SCamlReturn:
+class SCamlReturn(FrozenNode):
     """``CAMLreturn(e)`` — return releasing registered values."""
 
-    exp: Optional[Expr]
-    span: Span = DUMMY_SPAN
+    __slots__ = ("exp", "span")
+
+    def __init__(self, exp: Optional[Expr], span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "exp", exp)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"CAMLreturn({self.exp if self.exp is not None else ''})"
 
 
-@dataclass(frozen=True, slots=True)
-class SGoto:
-    label: str
-    span: Span = DUMMY_SPAN
+class SGoto(FrozenNode):
+    __slots__ = ("label", "span")
+
+    def __init__(self, label: str, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "label", label)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"goto {self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class SIf:
+class SIf(FrozenNode):
     """``if e then L`` — branch to ``L`` when ``e`` is non-zero."""
 
-    cond: Expr
-    label: str
-    span: Span = DUMMY_SPAN
+    __slots__ = ("cond", "label", "span")
+
+    def __init__(self, cond: Expr, label: str, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "cond", cond)
+        init_field(self, "label", label)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"if {self.cond} then {self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class SIfUnboxed:
+class SIfUnboxed(FrozenNode):
     """``if unboxed(x) then L`` (from ``Is_long``); fall-through is boxed."""
 
-    var: str
-    label: str
-    span: Span = DUMMY_SPAN
+    __slots__ = ("var", "label", "span")
+
+    def __init__(self, var: str, label: str, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "var", var)
+        init_field(self, "label", label)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"if unboxed({self.var}) then {self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class SIfSumTag:
+class SIfSumTag(FrozenNode):
     """``if sum_tag(x) == n then L`` (from ``Tag_val`` comparisons)."""
 
-    var: str
-    tag: int
-    label: str
-    span: Span = DUMMY_SPAN
+    __slots__ = ("var", "tag", "label", "span")
+
+    def __init__(self, var: str, tag: int, label: str, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "var", var)
+        init_field(self, "tag", tag)
+        init_field(self, "label", label)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"if sum_tag({self.var}) == {self.tag} then {self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class SIfIntTag:
+class SIfIntTag(FrozenNode):
     """``if int_tag(x) == n then L`` (from ``Int_val`` comparisons)."""
 
-    var: str
-    tag: int
-    label: str
-    span: Span = DUMMY_SPAN
+    __slots__ = ("var", "tag", "label", "span")
+
+    def __init__(self, var: str, tag: int, label: str, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "var", var)
+        init_field(self, "tag", tag)
+        init_field(self, "label", label)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"if int_tag({self.var}) == {self.tag} then {self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class SNop:
+class SNop(FrozenNode):
     """A no-op; exists to give labels a statement to hang on."""
 
-    span: Span = DUMMY_SPAN
+    __slots__ = ("span",)
+
+    def __init__(self, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return "nop"
@@ -302,26 +352,36 @@ Stmt = Union[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class VarDecl:
+class VarDecl(FrozenNode):
     """``ctype x = e`` at the top of a function."""
 
-    name: str
-    ctype: CSrcType
-    init: Optional[Rhs] = None
-    span: Span = DUMMY_SPAN
+    __slots__ = ("name", "ctype", "init", "span")
+
+    def __init__(
+        self,
+        name: str,
+        ctype: CSrcType,
+        init: Optional[Rhs] = None,
+        span: Span = DUMMY_SPAN,
+    ) -> None:
+        init_field(self, "name", name)
+        init_field(self, "ctype", ctype)
+        init_field(self, "init", init)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         init = f" = {self.init}" if self.init is not None else ""
         return f"{self.ctype} {self.name}{init}"
 
 
-@dataclass(frozen=True, slots=True)
-class ProtectDecl:
+class ProtectDecl(FrozenNode):
     """``CAMLprotect(x)`` — formalizes CAMLparam/CAMLlocal (paper §3.2)."""
 
-    name: str
-    span: Span = DUMMY_SPAN
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span = DUMMY_SPAN) -> None:
+        init_field(self, "name", name)
+        init_field(self, "span", span)
 
     def __str__(self) -> str:
         return f"CAMLprotect({self.name})"
@@ -330,20 +390,43 @@ class ProtectDecl:
 Decl = Union[VarDecl, ProtectDecl]
 
 
-@dataclass(slots=True)
-class FunctionIR:
+class FunctionIR(Node):
     """One C function lowered to the Figure 5 shape."""
 
-    name: str
-    params: list[tuple[str, CSrcType]]
-    return_type: CSrcType
-    decls: list[Decl] = field(default_factory=list)
-    body: list[Stmt] = field(default_factory=list)
-    labels: dict[str, int] = field(default_factory=dict)
-    span: Span = DUMMY_SPAN
-    is_definition: bool = True
-    #: set for functions hand-annotated as polymorphic (paper §5.1)
-    polymorphic: bool = False
+    __slots__ = (
+        "name",
+        "params",
+        "return_type",
+        "decls",
+        "body",
+        "labels",
+        "span",
+        "is_definition",
+        "polymorphic",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        params: list[tuple[str, CSrcType]],
+        return_type: CSrcType,
+        decls: Optional[list[Decl]] = None,
+        body: Optional[list[Stmt]] = None,
+        labels: Optional[dict[str, int]] = None,
+        span: Span = DUMMY_SPAN,
+        is_definition: bool = True,
+        polymorphic: bool = False,
+    ) -> None:
+        self.name = name
+        self.params = params
+        self.return_type = return_type
+        self.decls = [] if decls is None else decls
+        self.body = [] if body is None else body
+        self.labels = {} if labels is None else labels
+        self.span = span
+        self.is_definition = is_definition
+        #: set for functions hand-annotated as polymorphic (paper §5.1)
+        self.polymorphic = polymorphic
 
     def label_index(self, label: str) -> int:
         if label not in self.labels:
@@ -376,12 +459,18 @@ class FunctionIR:
         return "\n".join(lines)
 
 
-@dataclass(slots=True)
-class ProgramIR:
+class ProgramIR(Node):
     """A lowered translation unit (or several merged ones)."""
 
-    functions: list[FunctionIR] = field(default_factory=list)
-    globals: list[VarDecl] = field(default_factory=list)
+    __slots__ = ("functions", "globals")
+
+    def __init__(
+        self,
+        functions: Optional[list[FunctionIR]] = None,
+        globals: Optional[list[VarDecl]] = None,
+    ) -> None:
+        self.functions = [] if functions is None else functions
+        self.globals = [] if globals is None else globals
 
     def function(self, name: str) -> FunctionIR:
         for fn in self.functions:

@@ -59,7 +59,7 @@ import contextlib
 import json
 import sys
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .api import Project
@@ -71,21 +71,16 @@ from .boundary import (
 )
 from .core.exprs import Options
 from .corpus import iter_tree
-from .engine import (
+from .defaults import (
     DEFAULT_CACHE_DIR,
     DEFAULT_MAX_ENTRIES,
-    CheckRequest,
-    IncrementalEngine,
-    NullCache,
-    ResultCache,
-    StreamStats,
-    render_unit,
-    stream_batch,
+    DEFAULT_MAX_QUEUE,
+    DEFAULT_WORKERS,
 )
+from .engine.jobs import CheckRequest, render_unit
 from .rules import REGISTRY as RULE_REGISTRY
 from .rules import rules_pack
 from .sarif import batch_sarif_log, sarif_log
-from .server.async_daemon import DEFAULT_MAX_QUEUE, DEFAULT_WORKERS
 from .source import SourceFile
 from .telemetry import (
     REGISTRY,
@@ -99,6 +94,11 @@ from .telemetry import (
     uninstall,
     write_trace,
 )
+
+if TYPE_CHECKING:
+    from .engine.incremental import IncrementalEngine
+    from .engine.jobs import StreamStats
+    from .linker import LinkReport
 
 
 def _add_dialect_flag(command: argparse.ArgumentParser) -> None:
@@ -588,6 +588,8 @@ def _exit_code(tally: dict, strict: bool) -> int:
 
 def _make_cache(args: argparse.Namespace):
     """The cold-tier cache the flags describe."""
+    from .engine.cache import NullCache, ResultCache
+
     if args.no_cache:
         return NullCache()
     max_entries = args.cache_max_entries if args.cache_max_entries > 0 else None
@@ -672,7 +674,7 @@ class _Swept(NamedTuple):
     """What one corpus sweep leaves for its command to render."""
 
     stats: StreamStats
-    link: Optional["LinkReport"]
+    link: Optional[LinkReport]
     telemetry: Optional[dict]
     code: int
 
@@ -713,6 +715,7 @@ def _sweep(
     hosts = tuple(scan.hosts)
     options = _options(args)
     cache = _make_cache(args)
+    from .engine.stream import stream_batch
     from .linker import Linker
 
     linker = Linker() if link else None
@@ -945,6 +948,8 @@ def _build_engine(args: argparse.Namespace) -> Optional[IncrementalEngine]:
     if not root.is_dir():
         print(f"error: no such directory: {args.directory}", file=sys.stderr)
         return None
+    from .engine.incremental import IncrementalEngine
+
     return IncrementalEngine(
         root,
         dialect=args.dialect,

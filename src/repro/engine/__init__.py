@@ -11,54 +11,33 @@ and an in-memory result tier, so the analysis service (:mod:`repro.server`)
 re-checks only what an edit affected.
 """
 
-from .cache import (
-    DEFAULT_CACHE_DIR,
-    DEFAULT_MAX_ENTRIES,
-    MemoryCache,
-    NullCache,
-    ResultCache,
-    TieredCache,
-)
-from .incremental import (
-    DependencyGraph,
-    IncrementalEngine,
-    IncrementalReport,
-)
-from .jobs import (
-    CACHE_SCHEMA_VERSION,
-    BatchReport,
-    CheckRequest,
-    CheckResult,
-    StreamStats,
-    options_fingerprint,
-    render_unit,
-    repository_fingerprint,
-)
-from .scheduler import default_jobs, run_batch
-from .stream import stream_batch
-from .worker import analyze_request, run_request
+from .. import _lazy_exports
 
-__all__ = [
-    "BatchReport",
-    "CACHE_SCHEMA_VERSION",
-    "CheckRequest",
-    "CheckResult",
-    "DEFAULT_CACHE_DIR",
-    "DEFAULT_MAX_ENTRIES",
-    "DependencyGraph",
-    "IncrementalEngine",
-    "IncrementalReport",
-    "MemoryCache",
-    "NullCache",
-    "ResultCache",
-    "StreamStats",
-    "TieredCache",
-    "analyze_request",
-    "default_jobs",
-    "options_fingerprint",
-    "render_unit",
-    "repository_fingerprint",
-    "run_batch",
-    "run_request",
-    "stream_batch",
-]
+#: public name -> the submodule defining it, imported on first access
+#: (PEP 562): a one-shot check never loads the incremental engine
+_EXPORTS = {
+    "DEFAULT_CACHE_DIR": "..defaults",
+    "DEFAULT_MAX_ENTRIES": "..defaults",
+    "MemoryCache": ".cache",
+    "NullCache": ".cache",
+    "ResultCache": ".cache",
+    "TieredCache": ".cache",
+    "DependencyGraph": ".incremental",
+    "IncrementalEngine": ".incremental",
+    "IncrementalReport": ".incremental",
+    "CACHE_SCHEMA_VERSION": ".jobs",
+    "BatchReport": ".jobs",
+    "CheckRequest": ".jobs",
+    "CheckResult": ".jobs",
+    "StreamStats": ".jobs",
+    "options_fingerprint": ".jobs",
+    "render_unit": ".jobs",
+    "repository_fingerprint": ".jobs",
+    "default_jobs": ".scheduler",
+    "run_batch": ".scheduler",
+    "stream_batch": ".stream",
+    "analyze_request": ".worker",
+    "run_request": ".worker",
+}
+__getattr__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = sorted(_EXPORTS)

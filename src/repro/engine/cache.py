@@ -56,17 +56,13 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Iterator, Optional
 
+from ..defaults import DEFAULT_MAX_ENTRIES
 from .jobs import CACHE_SCHEMA_VERSION, CheckResult
 
 try:  # POSIX: a real advisory lock
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback below
     fcntl = None  # type: ignore[assignment]
-
-DEFAULT_CACHE_DIR = ".mlffi-cache"
-
-#: Default LRU entry cap for both the disk and memory tiers.
-DEFAULT_MAX_ENTRIES = 10_000
 
 #: how long a writer spins on the O_EXCL fallback lock before degrading
 #: to lock-free operation (journal append stays atomic-ish via O_APPEND)

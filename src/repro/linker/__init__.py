@@ -13,12 +13,15 @@ declared with conflicting types in two stubs, duplicate ``Java_*`` or
 defines.
 """
 
-from .link import LinkReport, Linker
-from .summary import InterfaceSummary, SymbolRow
+from .. import _lazy_exports
 
-__all__ = [
-    "InterfaceSummary",
-    "LinkReport",
-    "Linker",
-    "SymbolRow",
-]
+#: public name -> its submodule, imported on first access: a dialect that
+#: only summarizes its unit never loads the linker
+_EXPORTS = {
+    "InterfaceSummary": ".summary",
+    "LinkReport": ".link",
+    "Linker": ".link",
+    "SymbolRow": ".summary",
+}
+__getattr__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = sorted(_EXPORTS)

@@ -55,7 +55,7 @@ T = TypeVar("T")
 
 #: Bump when the artifact envelope or payload semantics change; stale
 #: versions are rebuilt, never migrated.
-SEED_SCHEMA_VERSION = 1
+SEED_SCHEMA_VERSION = 2
 
 SEED_DIR_ENV = "MLFFI_SEED_DIR"
 SEED_ARTIFACTS_ENV = "MLFFI_SEED_ARTIFACTS"
@@ -119,6 +119,10 @@ def registry_fingerprint() -> str:
 
 _TABLES: dict[str, Any] = {}
 _BUILDERS: dict[str, Callable[[], Any]] = {}
+#: bundled tables (still pickled) whose builder is not registered yet,
+#: because its dialect is not imported yet; :func:`seed_table` installs
+#: each one when its builder registers
+_PENDING: dict[str, bytes] = {}
 _HOST_MEMOS: dict[str, "HostSeedMemo"] = {}
 _LOCK = threading.RLock()
 
@@ -144,9 +148,13 @@ def seed_table(key: str) -> Callable[[Callable[[], T]], Callable[[], T]]:
     """
 
     def decorate(build: Callable[[], T]) -> Callable[[], T]:
-        if key in _BUILDERS:
-            raise ValueError(f"duplicate seed table `{key}`")
-        _BUILDERS[key] = build
+        with _LOCK:
+            if key in _BUILDERS:
+                raise ValueError(f"duplicate seed table `{key}`")
+            _BUILDERS[key] = build
+            blob = _PENDING.pop(key, None)
+            if blob is not None and key not in _TABLES:
+                _install(key, blob)
 
         def wrapper() -> T:
             try:
@@ -197,19 +205,36 @@ def build_all_tables() -> dict[str, Any]:
     return dict(_TABLES)
 
 
-def prime_tables(tables: dict[str, Any]) -> int:
-    """Install artifact-loaded tables; unknown names are ignored.
+def _install(key: str, blob: bytes) -> bool:
+    """Unpickle one bundled table into the store; a blob that does not
+    load is a reject, and the table's builder builds it instead."""
+    try:
+        _TABLES[key] = pickle.loads(blob)
+    except Exception:
+        _STATS["artifact_rejects"] += 1
+        return False
+    return True
 
-    Only names with a registered builder are accepted, so a tampered or
-    semantically-foreign artifact cannot inject tables nothing asked for.
-    Returns how many tables were installed.
+
+def prime_tables(tables: dict[str, bytes]) -> int:
+    """Install artifact-loaded tables, each pickled on its own.
+
+    A table is installed only under a registered builder's name, so a
+    tampered or semantically-foreign artifact cannot inject tables
+    nothing asked for.  Names no builder claims yet stay pending, still
+    pickled: dialects load lazily, and a dialect imported later installs
+    its tables when its builders register.  Returns how many tables were
+    installed now.
     """
     installed = 0
     with _LOCK:
-        for key, value in tables.items():
-            if key in _BUILDERS and key not in _TABLES:
-                _TABLES[key] = value
-                installed += 1
+        for key, blob in tables.items():
+            if key in _TABLES:
+                continue
+            if key in _BUILDERS:
+                installed += _install(key, blob)
+            else:
+                _PENDING[key] = blob
     return installed
 
 
@@ -226,6 +251,7 @@ def clear_seed_memos() -> None:
     global _STATIC_LOADED
     with _LOCK:
         _TABLES.clear()
+        _PENDING.clear()
         for memo in _HOST_MEMOS.values():
             memo._entries.clear()
         _STATIC_LOADED = False
@@ -425,10 +451,12 @@ def warmup_static() -> dict:
 
     The bundle exists so a warmed process can prime all of its seed
     tables with one read; it is keyed only by the registry fingerprint
-    (the tables depend on no user input).
+    (the tables depend on no user input).  Each table is pickled on its
+    own, so a process unpickles only the tables of the dialects it loads.
     """
     tables = build_all_tables()
-    stored = store_artifact("static", "tables", tables)
+    bundle = {key: pickle.dumps(table, protocol=5) for key, table in tables.items()}
+    stored = store_artifact("static", "tables", bundle)
     return {
         "tables": len(tables),
         "stored": stored,

@@ -40,14 +40,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
+from ..defaults import DEFAULT_MAX_QUEUE, DEFAULT_WORKERS
 from ..telemetry import JsonLogger, span
 from . import protocol
 from .service import AnalysisService, Overloaded
-
-DEFAULT_WORKERS = 4
-#: computations allowed to wait beyond the worker threads before the
-#: daemon starts shedding
-DEFAULT_MAX_QUEUE = 64
 
 
 class _AsyncDaemon:

@@ -139,6 +139,14 @@ def test_bench_smoke_runs_the_cold_benchmark_and_uploads_its_json(workflow):
     assert uploads and "cold-report.json" in uploads[0]["with"]["path"]
 
 
+def test_bench_smoke_uploads_the_startup_import_profile(workflow):
+    steps = workflow["jobs"]["bench-smoke"]["steps"]
+    runs = [step.get("run", "") for step in steps]
+    assert 'python -X importtime -c "import repro.cli" 2> importtime.txt' in runs
+    uploads = [s for s in steps if "upload-artifact" in s.get("uses", "")]
+    assert "importtime.txt" in uploads[0]["with"]["path"]
+
+
 def test_artifacts_upload_only_from_canonical_py312_jobs(workflow):
     # bench JSON + SARIF artifacts come from single-leg py3.12 jobs; the
     # version matrix legs upload nothing
@@ -255,6 +263,7 @@ STEPS = {
     "test": ["Install package", "Run test suite"],
     "bench-smoke": [
         "Install package",
+        "Start-up import profile",
         "Figure 9 table",
         "Repo benchmark unit tests",
         "Repo benchmark traced smoke (fig9-oneshot, every layer)",

@@ -10,18 +10,25 @@ invalidation point.
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import subprocess
+import sys
 import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from repro import seeds
+from repro import boundary, seeds
 from repro.api import Project
-from repro.boundary import get_dialect
+from repro.boundary import get_dialect, register_dialect
 from repro.engine import run_batch
 from repro.engine.jobs import CheckRequest, repository_fingerprint
 from repro.source import SourceFile
 
+ROOT = Path(__file__).resolve().parent.parent
 ML = "external make : int -> int = \"ml_counter_make\"\n"
 C = """
 #include <caml/mlvalues.h>
@@ -90,6 +97,28 @@ class TestSeedTables:
         assert installed == 0
         assert "no.such.table" not in seeds.build_all_tables()
 
+    def test_pending_table_installs_when_its_builder_registers(self):
+        # a dialect imported after the bundle was read claims its tables
+        primed = pickle.dumps({"primed": True})
+        assert seeds.prime_tables({"test.late": primed}) == 0
+        builds = seeds.seed_stats()["table_builds"]
+        try:
+            late = seeds.seed_table("test.late")(lambda: {"primed": False})
+            assert late() == {"primed": True}
+            assert seeds.seed_stats()["table_builds"] == builds
+        finally:
+            seeds._BUILDERS.pop("test.late", None)
+
+    def test_bundled_table_that_does_not_load_is_rebuilt(self):
+        from repro.cfront.macros import builtin_entries
+
+        before = seeds.seed_stats()
+        assert seeds.prime_tables({"ocaml.builtin_entries": b"garbage"}) == 0
+        assert builtin_entries()
+        after = seeds.seed_stats()
+        assert after["artifact_rejects"] == before["artifact_rejects"] + 1
+        assert after["table_builds"] == before["table_builds"] + 1
+
     def test_clear_seed_memos_is_the_one_invalidation_point(self):
         from repro.cfront.macros import builtin_entries
 
@@ -115,6 +144,26 @@ class TestRegistryFingerprint:
 
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
         assert seeds.registry_fingerprint() != before
+
+    def test_same_whether_or_not_dialects_are_imported(self, tmp_path):
+        code = (
+            "import sys; from repro import seeds; "
+            "print(seeds.registry_fingerprint()); "
+            "print(sorted(m for m in sys.modules if m.endswith('.dialect')))"
+        )
+        fresh, imported = _child(code, tmp_path).splitlines()
+        assert imported == "[]"
+        seeds.build_all_tables()  # imports every built-in dialect here
+        assert seeds.registry_fingerprint() == fresh
+
+    def test_third_party_dialect_changes_it(self):
+        before = seeds.registry_fingerprint()
+        try:
+            register_dialect(SimpleNamespace(name="stub-fingerprint-dialect"))
+            assert seeds.registry_fingerprint() != before
+        finally:
+            boundary._REGISTRY.pop("stub-fingerprint-dialect", None)
+        assert seeds.registry_fingerprint() == before
 
     def test_foreign_fingerprint_artifact_is_invisible(self, monkeypatch):
         seeds.store_artifact("host-ocaml", "f" * 64, {"x": 1})
@@ -184,6 +233,48 @@ class TestArtifactCorruption:
         assert not seeds.store_artifact("host-ocaml", "a" * 64, {"x": 1})
         assert seeds.load_artifact("host-ocaml", "a" * 64) is None
         assert not list(seeds.seed_dir().glob("*.seed"))
+
+
+class TestLazyDialectsReadTheBundle:
+    def test_dialects_loaded_one_by_one_build_no_table(self, tmp_path):
+        # one dialect after another: each later one's tables were pending
+        # since the bundle was read, and install when its module
+        # registers them
+        code = """
+import json, sys
+from repro import seeds
+from repro.api import Project
+for dialect, corpus in (
+    ("ocaml", "glue"),
+    ("rust", "rust/clean_bindings"),
+    ("pyext", "pyext"),
+    ("jni", "jni"),
+):
+    assert "repro.jni.dialect" not in sys.modules
+    Project.from_directory(f"examples/{corpus}", dialect).analyze()
+print(json.dumps(seeds.seed_stats()))
+"""
+        _child("from repro.cli import main; main(['warmup'])", tmp_path)
+        stats = json.loads(_child(code, tmp_path))
+        assert stats["table_builds"] == 0
+        assert stats["artifact_rejects"] == 0
+
+
+def _child(code: str, seed_dir: Path) -> str:
+    """stdout of ``code`` run by a fresh interpreter from the repo root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env[seeds.SEED_DIR_ENV] = str(seed_dir)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestConcurrentWarmup:
