@@ -23,10 +23,6 @@ class GlueUnit:
     c: str
     expected: Dict[Category, int] = field(default_factory=dict)
 
-    @property
-    def is_clean(self) -> bool:
-        return not any(self.expected.values())
-
 
 def _unit(ml: str, c: str, **counts: int) -> GlueUnit:
     expected = {

@@ -169,8 +169,6 @@ def check_wellformed(fn: FunctionIR) -> List[str]:
         if not 0 <= index <= len(fn.body):
             problems.append(f"label {label} points outside the body")
     for index, stmt in enumerate(fn.body):
-        if isinstance(stmt, (_BRANCHES, SGoto).__class__):
-            pass
         if isinstance(stmt, _BRANCHES) or isinstance(stmt, SGoto):
             if stmt.label not in fn.labels:
                 problems.append(

@@ -45,9 +45,9 @@ see :mod:`repro.rules`); ``conformance`` sweeps and links a corpus like
 ``link`` but reports *by rule* — every rule of the dialect's pack (and
 the link pack) with its finding count and pass/fail status, the shape
 a safety-guideline audit wants.  ``bench`` regenerates the Figure 9
-table from the synthesized suite.  ``warmup`` precomputes the seed
-artifacts (static tables and, given a corpus root, parsed host
-interfaces) so cold workers load pickles instead of re-deriving them
+table from the synthesized suite.  ``warmup`` builds every seed table
+and, given a corpus root, stores the parsed host interfaces as seed
+artifacts so cold workers load pickles instead of re-deriving them
 (see :mod:`repro.seeds`).  ``example`` runs the paper's Figure 2
 program as a smoke test.
 """
@@ -1097,9 +1097,9 @@ def _run_example(args: argparse.Namespace) -> int:
 def _run_warmup(args: argparse.Namespace) -> int:
     """Build the seed artifacts ahead of time (``mlffi-check warmup``).
 
-    Always writes the static-table bundle; with a corpus directory it
-    also parses the dialect's host sources and stores the interface
-    artifact, so the first real sweep loads instead of re-deriving.
+    Always builds every seed table; with a corpus directory it also
+    parses the dialect's host sources and stores the interface artifact,
+    so the first real sweep loads instead of re-deriving.
     """
     from . import seeds
 
@@ -1125,11 +1125,7 @@ def _run_warmup(args: argparse.Namespace) -> int:
     print(f"seed dir:    {report['seed_dir']}")
     print(f"artifacts:   {'on' if report['artifacts_enabled'] else 'off'}")
     print(f"registry:    {report['registry_fingerprint'][:16]}")
-    static = report["static"]
-    print(
-        f"static:      {static['tables']} table(s) "
-        f"({'stored' if static['stored'] else 'not stored'})"
-    )
+    print(f"static:      {report['static']['tables']} table(s)")
     hosts = report["hosts"]
     if hosts is not None:
         if hosts["fingerprint"]:

@@ -1,7 +1,7 @@
 """Result caches for the batch engine and the analysis service.
 
 Three tiers share one ``load``/``store`` protocol (see
-:class:`repro.engine.scheduler.Cache`):
+:class:`repro.engine.stream.Cache`):
 
 * :class:`ResultCache` — the cold tier: one JSON file per cache key under a
   cache directory (default ``.mlffi-cache``), so results survive process

@@ -6,26 +6,27 @@ lowering's return/parameter tables, the parse hints, the OCaml stdlib
 declarations — and, far more expensively, the *parsed host interface*
 (the OCaml :class:`~repro.ocamlfront.repository.TypeRepository`, the Rust
 :class:`~repro.rustffi.parser.RustInterface`) memoized by content
-fingerprint.  Before this module each of those memos was its own
-``functools.cache`` or module-level dict: per-process, invisible to each
-other, and rebuilt from scratch by every worker the multiprocessing
-scheduler or the async daemon spawns.
+fingerprint.
 
-This module centralizes all of it:
+This module centralizes both:
 
-* :func:`seed_table` replaces the scattered ``functools.cache`` seed
-  memos.  Every table lives in one process-wide store keyed by a stable
-  name, so :func:`clear_seed_memos` is the *single* invalidation point —
-  it drops every seed table, every host-interface memo, and the
-  hash-consing caches in one call, which is what makes artifact-loaded
-  and freshly built seeds interchangeable.
-* :class:`HostSeedMemo` is the shared host-interface memo with an
-  on-disk tier: a miss first tries the seed artifact for that content
-  fingerprint (a pickle written atomically by a previous process or by
-  ``mlffi-check warmup``), and only then rebuilds — writing the artifact
-  through on first use so the *next* process loads instead of re-parsing.
-  Loading a parsed host interface is 5–10x cheaper than re-deriving it,
-  which is exactly the per-worker spawn cost the scheduler used to pay.
+* :func:`seed_table` memoizes the small tables.  Every table lives in
+  one process-wide store keyed by a stable name and is built by its own
+  builder once per process (a few milliseconds per dialect, no more than
+  unpickling it would cost), so tables never go to disk: unpickled
+  interned terms are not the canonical copies, so the unifier's
+  identity short-cut would miss and ``unification_steps`` would change.
+  :func:`clear_seed_memos` is the *single* invalidation point — it drops
+  every seed table, every host-interface memo, and the hash-consing
+  caches in one call.
+* :class:`HostSeedMemo` is the shared host-interface memo and the one
+  artifact kind on disk: a miss first tries the seed artifact for that
+  content fingerprint (a pickle written atomically by a previous process
+  or by ``mlffi-check warmup``), and only then rebuilds — writing the
+  artifact through on first use so the *next* process loads instead of
+  re-parsing.  Loading a parsed host interface is 5–10x cheaper than
+  re-deriving it, which is the per-worker spawn cost a sweep's
+  worker pool or the async daemon would otherwise pay.
 * Artifacts are versioned: every file records :data:`SEED_SCHEMA_VERSION`
   and the :func:`registry_fingerprint` of the producing process (cache
   schema, package version, Python version, registered dialects).  A
@@ -119,10 +120,6 @@ def registry_fingerprint() -> str:
 
 _TABLES: dict[str, Any] = {}
 _BUILDERS: dict[str, Callable[[], Any]] = {}
-#: bundled tables (still pickled) whose builder is not registered yet,
-#: because its dialect is not imported yet; :func:`seed_table` installs
-#: each one when its builder registers
-_PENDING: dict[str, bytes] = {}
 _HOST_MEMOS: dict[str, "HostSeedMemo"] = {}
 _LOCK = threading.RLock()
 
@@ -139,12 +136,10 @@ _STATS = {
 def seed_table(key: str) -> Callable[[Callable[[], T]], Callable[[], T]]:
     """Register + memoize one seed-table builder under a stable name.
 
-    Drop-in replacement for the ``functools.cache`` the seed modules used
-    before: the wrapped function still takes no arguments and returns the
-    shared table, but the value lives in the central store where
-    :func:`clear_seed_memos` can drop it and :func:`prime_tables` can
-    install an artifact-loaded copy.  A ``cache_clear`` attribute keeps
-    the old per-function escape hatch working.
+    The wrapped function takes no arguments and returns the shared
+    table, built on first call and kept in the central store where
+    :func:`clear_seed_memos` can drop it.  A ``cache_clear`` attribute
+    drops just this table.
     """
 
     def decorate(build: Callable[[], T]) -> Callable[[], T]:
@@ -152,18 +147,12 @@ def seed_table(key: str) -> Callable[[Callable[[], T]], Callable[[], T]]:
             if key in _BUILDERS:
                 raise ValueError(f"duplicate seed table `{key}`")
             _BUILDERS[key] = build
-            blob = _PENDING.pop(key, None)
-            if blob is not None and key not in _TABLES:
-                _install(key, blob)
 
         def wrapper() -> T:
             try:
                 return _TABLES[key]
             except KeyError:
                 pass
-            # one stat per process: a warmup bundle may already hold
-            # every table this process would otherwise derive
-            prime_from_static_bundle()
             with _LOCK:
                 if key not in _TABLES:
                     _TABLES[key] = build()
@@ -205,56 +194,21 @@ def build_all_tables() -> dict[str, Any]:
     return dict(_TABLES)
 
 
-def _install(key: str, blob: bytes) -> bool:
-    """Unpickle one bundled table into the store; a blob that does not
-    load is a reject, and the table's builder builds it instead."""
-    try:
-        _TABLES[key] = pickle.loads(blob)
-    except Exception:
-        _STATS["artifact_rejects"] += 1
-        return False
-    return True
-
-
-def prime_tables(tables: dict[str, bytes]) -> int:
-    """Install artifact-loaded tables, each pickled on its own.
-
-    A table is installed only under a registered builder's name, so a
-    tampered or semantically-foreign artifact cannot inject tables
-    nothing asked for.  Names no builder claims yet stay pending, still
-    pickled: dialects load lazily, and a dialect imported later installs
-    its tables when its builders register.  Returns how many tables were
-    installed now.
-    """
-    installed = 0
-    with _LOCK:
-        for key, blob in tables.items():
-            if key in _TABLES:
-                continue
-            if key in _BUILDERS:
-                installed += _install(key, blob)
-            else:
-                _PENDING[key] = blob
-    return installed
-
-
 def clear_seed_memos() -> None:
     """THE seed invalidation point.
 
     Drops every centrally-memoized seed table, every host-interface
     memo (all dialects), and the hash-consing caches.  After this call a
-    process is seed-cold: the next analysis rebuilds (or artifact-loads)
-    everything, exactly like a fresh worker.
+    process is seed-cold: the next analysis rebuilds its tables (and
+    artifact-loads or rebuilds its host interfaces), exactly like a
+    fresh worker.
     """
     from .core.intern import clear_intern_caches
 
-    global _STATIC_LOADED
     with _LOCK:
         _TABLES.clear()
-        _PENDING.clear()
         for memo in _HOST_MEMOS.values():
             memo._entries.clear()
-        _STATIC_LOADED = False
     clear_intern_caches()
 
 
@@ -447,40 +401,12 @@ class HostSeedMemo:
 
 
 def warmup_static() -> dict:
-    """Build every registered seed table and write the static bundle.
+    """Build every registered seed table in this process.
 
-    The bundle exists so a warmed process can prime all of its seed
-    tables with one read; it is keyed only by the registry fingerprint
-    (the tables depend on no user input).  Each table is pickled on its
-    own, so a process unpickles only the tables of the dialects it loads.
+    The tables are cheap to build and are never stored; this only loads
+    every dialect and reports how many tables there are.
     """
-    tables = build_all_tables()
-    bundle = {key: pickle.dumps(table, protocol=5) for key, table in tables.items()}
-    stored = store_artifact("static", "tables", bundle)
-    return {
-        "tables": len(tables),
-        "stored": stored,
-        "artifact_dir": str(seed_dir()),
-    }
-
-
-_STATIC_LOADED = False
-
-
-def prime_from_static_bundle() -> int:
-    """Try once per process to prime the seed tables from the bundle.
-
-    Called lazily by consumers that are about to build seeds; a missing
-    or stale bundle costs one ``stat`` and changes nothing.
-    """
-    global _STATIC_LOADED
-    if _STATIC_LOADED:
-        return 0
-    _STATIC_LOADED = True
-    payload = load_artifact("static", "tables")
-    if not isinstance(payload, dict):
-        return 0
-    return prime_tables(payload)
+    return {"tables": len(build_all_tables())}
 
 
 def warmup_hosts(

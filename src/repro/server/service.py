@@ -2,9 +2,10 @@
 
 :class:`AnalysisService` owns one :class:`~repro.engine.IncrementalEngine`
 and maps protocol methods onto it.  It is transport-agnostic: the stdio
-loop, the threading TCP server, the asyncio daemon, and in-process users
-(:class:`repro.api.Session`) all call :meth:`handle_line` / :meth:`handle`
-with plain dicts.
+loop calls :meth:`handle_line`, the asyncio daemon calls
+:meth:`check_key`, the coalescer and :meth:`lead_check` itself for
+``check`` (and :meth:`handle_request` for the rest), and in-process users
+(:class:`repro.api.Session`) call :meth:`handle` with plain dicts.
 
 Methods:
 
@@ -82,8 +83,8 @@ class LoadGauge:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: concurrent computation cap; ``None`` = unbounded (stdio and
-        #: threading transports, which carry their own natural limits)
+        #: concurrent computation cap; ``None`` = unbounded (the stdio
+        #: transport serves one request at a time)
         self.limit: Optional[int] = None
         self.workers = 0
         self.max_queue = 0
@@ -169,9 +170,10 @@ class AnalysisService:
     def handle_line(self, line: str) -> Optional[str]:
         """Serve one wire frame; blank lines are ignored (returns None).
 
-        ``check`` frames take the coalesced fast path so every transport
-        that speaks lines (stdio, threading TCP, asyncio) deduplicates
-        identical work; other methods dispatch normally."""
+        ``check`` frames take the coalesced path (:meth:`check_line`);
+        other methods dispatch normally.  The stdio transport serves
+        every frame here; the asyncio daemon runs the coalescing steps
+        itself so it can answer memo hits without a thread handoff."""
         if not line.strip():
             return None
         try:
@@ -188,7 +190,7 @@ class AnalysisService:
         """Decode, dispatch, and build the response object for one frame.
 
         This is the un-coalesced path (in-process users who want plain
-        dicts); wire transports go through :meth:`handle_line`."""
+        dicts); the stdio transport goes through :meth:`handle_line`."""
         try:
             request = protocol.decode_line(line)
         except protocol.ProtocolError as exc:

@@ -147,6 +147,16 @@ def test_bench_smoke_uploads_the_startup_import_profile(workflow):
     assert "importtime.txt" in uploads[0]["with"]["path"]
 
 
+def test_bench_smoke_uploads_the_src_line_count(workflow):
+    steps = workflow["jobs"]["bench-smoke"]["steps"]
+    [step] = [s for s in steps if s.get("name") == "Source line count"]
+    assert step["run"] == (
+        "find src -name '*.py' | xargs wc -l | tail -n 1 > src-lines.txt"
+    )
+    uploads = [s for s in steps if "upload-artifact" in s.get("uses", "")]
+    assert "src-lines.txt" in uploads[0]["with"]["path"]
+
+
 def test_artifacts_upload_only_from_canonical_py312_jobs(workflow):
     # bench JSON + SARIF artifacts come from single-leg py3.12 jobs; the
     # version matrix legs upload nothing
@@ -264,6 +274,7 @@ STEPS = {
     "bench-smoke": [
         "Install package",
         "Start-up import profile",
+        "Source line count",
         "Figure 9 table",
         "Repo benchmark unit tests",
         "Repo benchmark traced smoke (fig9-oneshot, every layer)",

@@ -4,7 +4,7 @@ Each case runs in a fresh interpreter, since this suite's own process
 has long since imported everything.  ``import repro.cli`` must load
 neither the daemon (``asyncio``, :mod:`repro.server`) nor the
 incremental engine nor any dialect; a ``check`` loads only the dialect
-it was asked for, with or without a warm seed bundle; and the lazy
+it was asked for, with or without a warm host artifact; and the lazy
 package re-exports still resolve every public name.
 """
 
@@ -94,8 +94,10 @@ def test_import_repro_loads_no_api_or_engine(tmp_path):
     ids=["ocaml", "rust"],
 )
 def test_check_loads_only_its_dialect(dialect, files, warm, tmp_path):
-    if warm:  # the static bundle holds every dialect's tables
-        loaded_after(_CHECK.format(argv=["warmup"]), tmp_path)
+    if warm:  # warmup loads every dialect and stores this corpus's host
+        corpus = str(Path(files[0]).parent)
+        warmup = ["warmup", corpus, "--dialect", dialect]
+        loaded_after(_CHECK.format(argv=warmup), tmp_path)
     argv = ["check", "--dialect", dialect, *files]
     modules = loaded_after(_CHECK.format(argv=argv), tmp_path)
     others = [m for name, m in DIALECT_MODULES.items() if name != dialect]

@@ -92,33 +92,6 @@ class TestSeedTables:
         with pytest.raises(ValueError, match="duplicate seed table"):
             seeds.seed_table("ocaml.builtin_entries")(lambda: {})
 
-    def test_prime_tables_ignores_unregistered_keys(self):
-        installed = seeds.prime_tables({"no.such.table": {"x": 1}})
-        assert installed == 0
-        assert "no.such.table" not in seeds.build_all_tables()
-
-    def test_pending_table_installs_when_its_builder_registers(self):
-        # a dialect imported after the bundle was read claims its tables
-        primed = pickle.dumps({"primed": True})
-        assert seeds.prime_tables({"test.late": primed}) == 0
-        builds = seeds.seed_stats()["table_builds"]
-        try:
-            late = seeds.seed_table("test.late")(lambda: {"primed": False})
-            assert late() == {"primed": True}
-            assert seeds.seed_stats()["table_builds"] == builds
-        finally:
-            seeds._BUILDERS.pop("test.late", None)
-
-    def test_bundled_table_that_does_not_load_is_rebuilt(self):
-        from repro.cfront.macros import builtin_entries
-
-        before = seeds.seed_stats()
-        assert seeds.prime_tables({"ocaml.builtin_entries": b"garbage"}) == 0
-        assert builtin_entries()
-        after = seeds.seed_stats()
-        assert after["artifact_rejects"] == before["artifact_rejects"] + 1
-        assert after["table_builds"] == before["table_builds"] + 1
-
     def test_clear_seed_memos_is_the_one_invalidation_point(self):
         from repro.cfront.macros import builtin_entries
 
@@ -237,9 +210,8 @@ class TestArtifactCorruption:
 
 class TestLazyDialectsReadTheBundle:
     def test_dialects_loaded_one_by_one_build_no_table(self, tmp_path):
-        # one dialect after another: each later one's tables were pending
-        # since the bundle was read, and install when its module
-        # registers them
+        # one dialect after another, each imported only when its turn
+        # comes: every host interface warmup stored loads, none rebuilds
         code = """
 import json, sys
 from repro import seeds
@@ -254,31 +226,46 @@ for dialect, corpus in (
     Project.from_directory(f"examples/{corpus}", dialect).analyze()
 print(json.dumps(seeds.seed_stats()))
 """
-        _child("from repro.cli import main; main(['warmup'])", tmp_path)
+        for dialect, corpus in (("ocaml", "glue"), ("rust", "rust/clean_bindings")):
+            warm = f"main(['warmup', 'examples/{corpus}', '--dialect', '{dialect}'])"
+            _child(f"from repro.cli import main; {warm}", tmp_path)
         stats = json.loads(_child(code, tmp_path))
-        assert stats["table_builds"] == 0
+        assert stats["host_builds"] == 0
+        assert stats["artifact_loads"] == 2
         assert stats["artifact_rejects"] == 0
 
 
 def _child(code: str, seed_dir: Path) -> str:
     """stdout of ``code`` run by a fresh interpreter from the repo root."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env[seeds.SEED_DIR_ENV] = str(seed_dir)
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        env=env,
-        timeout=120,
-    )
+    proc = _run([sys.executable, "-c", code], ROOT, seed_dir)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
+def _cli(argv: list, cwd: Path, seed_dir: Path, artifacts: str = "1") -> str:
+    """stdout of ``mlffi-check argv`` run by a fresh interpreter in ``cwd``."""
+    proc = _run(
+        [sys.executable, "-m", "repro.cli", *argv], cwd, seed_dir, artifacts
+    )
+    assert proc.returncode < 125, proc.stderr
+    return proc.stdout
+
+
+def _run(command: list, cwd: Path, seed_dir: Path, artifacts: str = "1"):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env[seeds.SEED_DIR_ENV] = str(seed_dir)
+    env[seeds.SEED_ARTIFACTS_ENV] = artifacts
+    return subprocess.run(
+        command, capture_output=True, text=True, cwd=cwd, env=env, timeout=120
+    )
+
+
 class TestConcurrentWarmup:
     def test_parallel_warmup_static_is_safe(self):
+        seeds.build_all_tables()  # import every dialect up front
+        seeds.clear_seed_memos()
+        builds = seeds.seed_stats()["table_builds"]
         errors: list[BaseException] = []
 
         def warm():
@@ -293,8 +280,10 @@ class TestConcurrentWarmup:
         for t in threads:
             t.join()
         assert not errors
-        bundle = seeds.load_artifact("static", "tables")
-        assert isinstance(bundle, dict) and bundle
+        # eight racing warmups still build each table exactly once
+        stats = seeds.seed_stats()
+        assert stats["tables"] == len(seeds.registered_tables())
+        assert stats["table_builds"] - builds == stats["tables"]
 
     def test_parallel_host_memo_builds_one_result(self):
         dialect = get_dialect("ocaml")
@@ -322,14 +311,14 @@ class TestConcurrentWarmup:
         payload = {"table": list(range(500))}
 
         def write():
-            seeds.store_artifact("static", "tables", payload)
+            seeds.store_artifact("host-ocaml", "f" * 64, payload)
 
         threads = [threading.Thread(target=write) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert seeds.load_artifact("static", "tables") == payload
+        assert seeds.load_artifact("host-ocaml", "f" * 64) == payload
         # no staged temp files leaked
         assert not list(seeds.seed_dir().glob(".tmp-*"))
 
@@ -374,21 +363,38 @@ class TestLoadedVsBuiltEquivalence:
         ]
         assert render(warmed) == render(cold)
 
+    def test_check_output_is_the_same_in_every_seed_artifact_mode(self, tmp_path):
+        # Figure 9's apm-1.00, one fresh `check` per mode; only the wall
+        # time may differ, `unification_steps` included
+        from repro.bench.specs import spec_by_name
+        from repro.bench.synth import synthesize
+
+        row = synthesize(spec_by_name("apm-1.00"))
+        (tmp_path / "lib.ml").write_text(row.ocaml_source)
+        (tmp_path / "stubs.c").write_text(row.c_source)
+        argv = ["check", "lib.ml", "stubs.c", "--format", "json"]
+
+        def check(seed_dir: Path, artifacts: str = "1") -> dict:
+            out = _cli(argv, tmp_path, seed_dir, artifacts=artifacts)
+            document = json.loads(out)
+            document.pop("elapsed_seconds")
+            return document
+
+        off = check(tmp_path / "off", artifacts="0")
+        cold = check(tmp_path / "shared")
+        warm_host = check(tmp_path / "shared")
+        _cli(["warmup", "."], tmp_path, tmp_path / "warmed")
+        warmed = check(tmp_path / "warmed")
+        assert off["unification_steps"] > 0
+        assert cold == off
+        assert warm_host == off
+        assert warmed == off
+
 
 class TestWarmupAndPrune:
     def test_warmup_static_builds_and_stores_every_table(self):
         result = seeds.warmup_static()
-        assert result["stored"]
-        assert result["tables"] == len(seeds.registered_tables())
-        seeds.clear_seed_memos()
-        primed = seeds.prime_from_static_bundle()
-        assert primed == result["tables"]
-
-    def test_prime_from_static_bundle_runs_once_per_process(self):
-        seeds.warmup_static()
-        seeds.clear_seed_memos()
-        assert seeds.prime_from_static_bundle() > 0
-        assert seeds.prime_from_static_bundle() == 0
+        assert result == {"tables": len(seeds.registered_tables())}
 
     def test_prune_evicts_oldest_beyond_limit(self):
         import os
@@ -420,8 +426,11 @@ class TestWarmupAndPrune:
         import json
 
         payload = json.loads(capsys.readouterr().out)
-        assert payload["static"]["stored"]
+        assert payload["static"] == {"tables": len(seeds.registered_tables())}
         assert payload["hosts"]["hosts"] == 1
+        # the host interface is the only artifact kind written
+        kinds = {path.name.split("-")[1] for path in seeds.seed_dir().glob("*.seed")}
+        assert kinds == {"host"}
 
 
     def test_warmup_reads_the_host_set_the_sweep_reads(self, tmp_path, capsys):
