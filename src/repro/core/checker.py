@@ -188,16 +188,21 @@ class Checker:
     def _check_poly_params(self) -> None:
         """The gz idiom: an external declared ``'a -> ...`` whose C code
         commits the parameter to one concrete representation (§5.2)."""
+        from .pretty import TypePrinter
+
         for poly in self.initial_env.poly_params:
             resolved = self.ctx.unifier.resolve_mt(poly.var)
             if isinstance(resolved, MTVar):
                 continue
+            # the printer names variables per message (ψ1, σ1, ...): raw
+            # ids count every variable the process made before this unit
+            used_at = TypePrinter(self.ctx.unifier).mt(resolved)
             self.ctx.report(
                 Kind.POLYMORPHIC_ABUSE,
                 poly.span,
                 f"external `{poly.c_name}` declares parameter "
                 f"{poly.param_index + 1} with the polymorphic type 'a but its "
-                f"C code uses it at `{self.ctx.unifier.deep_resolve_mt(resolved)}`; "
+                f"C code uses it at `{used_at}`; "
                 "any OCaml value can be passed here",
                 function=poly.c_name,
             )

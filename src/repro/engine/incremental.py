@@ -12,7 +12,11 @@ service.  An :class:`IncrementalEngine` keeps a whole corpus resident:
   dirties exactly the affected units;
 * a two-tier result cache: an in-memory LRU in front of the on-disk
   :class:`~repro.engine.cache.ResultCache`, which is thereby demoted to a
-  cold-start tier.
+  cold-start tier;
+* each checked unit's reply row, encoded once when its result is stored:
+  a report splices the resident rows of the units it did not re-run and
+  encodes only the ones it did, so a one-unit edit costs one unit's
+  encoding, not the corpus's.
 
 Both entry points funnel into the same code path: :meth:`check` submits
 only the dirty units to :func:`repro.engine.scheduler.run_batch`, which
@@ -24,10 +28,11 @@ behave identically in every mode, ``serve`` and ``watch`` included.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -39,12 +44,22 @@ from ..boundary import (
 )
 from ..core.exprs import Options
 from ..corpus import read_source, scan_tree
+from ..diagnostics import DiagnosticBag
 from ..linker import Linker, LinkReport
 from ..source import SourceFile
 from ..telemetry import span
 from .cache import DEFAULT_MAX_ENTRIES, MemoryCache, NullCache, TieredCache
 from .jobs import BatchReport, CheckRequest, CheckResult
 from .scheduler import run_batch
+
+
+#: the wire protocol's stable encoding (sorted keys, compact, ASCII), as
+#: :func:`repro.server.protocol.encode_fragment` writes it: the daemon
+#: splices report rows into its replies verbatim
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: the one value of a resident row that each report measures afresh
+_PROBE = "probe_seconds"
 
 
 def _normalize(path: str | os.PathLike, base: Path) -> str:
@@ -101,46 +116,129 @@ class DependencyGraph:
 class UnitState:
     """One resident translation unit: its request, deps, and last result.
 
-    The result is held as its JSON payload, not an object: report
-    consumers get fresh :class:`CheckResult` copies they may mutate, and
-    the payload is serialized once when stored instead of on every check.
+    The result is held as its encoded reply row in the form a reused
+    unit takes (``from_cache``, ``cache_tier: "memory"``,
+    ``wall_seconds: 0.0``), split around ``probe_seconds``, the one value
+    each report measures afresh.  Beside it sit the result's tally and
+    what :meth:`IncrementalEngine.link` reads.  Rows are encoded once,
+    when the result is stored; reports splice them and decode
+    :class:`CheckResult` copies only when asked.
     """
 
     name: str
     request: CheckRequest
-    payload: Optional[dict] = None
+    #: the row up to its ``"probe_seconds":`` key; ``None`` until checked
+    head: Optional[str] = None
+    #: the row after the probe value
+    tail: str = ""
+    tally: Optional[dict[str, int]] = None
+    summary: Optional[dict] = None
+    failed: bool = False
+
+    def keep(self, data: dict) -> None:
+        """Store a result, given as :meth:`CheckResult.to_dict`."""
+        self.tally = data["tally"]
+        self.summary = data["summary"]
+        self.failed = data["failure"] is not None
+        reused = {**data, "from_cache": True, "cache_tier": "memory"}
+        reused["wall_seconds"] = 0.0
+        # sort_keys puts every key of ``before`` ahead of the probe and
+        # every key of ``after`` behind it, so the halves join exactly
+        before = _encode({k: v for k, v in reused.items() if k < _PROBE})
+        after = _encode({k: v for k, v in reused.items() if k > _PROBE})
+        self.head = f'{before[:-1]},"{_PROBE}":'
+        self.tail = f",{after[1:]}"
 
 
-@dataclass
 class IncrementalReport(BatchReport):
     """A :class:`BatchReport` over the whole corpus, annotated with what
-    this particular check actually did."""
+    this particular check actually did.
 
-    #: dirty units submitted to the batch scheduler this check
-    checked: list[str] = field(default_factory=list)
-    #: subset of ``checked`` that was really analyzed (no cache tier hit)
-    ran: list[str] = field(default_factory=list)
-    #: clean units served straight from resident engine state
-    reused: int = 0
-    #: dirty units a restricted check did NOT submit: their results in
-    #: this report are the pre-edit ones and must not be trusted as fresh
-    stale: list[str] = field(default_factory=list)
-    #: engine revision of the state this report describes, read under
-    #: the engine lock as the check ends (not part of :meth:`to_dict`)
-    revision: int = 0
-    #: every submitted unit already had a result: the check re-ran
-    #: edited units, it was not a first check (not part of :meth:`to_dict`)
-    rechecked: bool = False
+    Built from encoded rows, one per unit in name order: :meth:`encode`
+    splices them into the reply, and :meth:`to_dict` and
+    :attr:`results` decode that encoding (the results once, as fresh
+    copies the caller may mutate).
+    """
 
-    def to_dict(self) -> dict:
-        data = super().to_dict()
+    def __init__(
+        self,
+        *,
+        rows: list[str],
+        tally: dict[str, int],
+        hits: int,
+        misses: int,
+        elapsed_seconds: float,
+        jobs: int,
+        cache_evictions: int,
+        checked: list[str],
+        ran: list[str],
+        reused: int,
+        stale: list[str],
+        revision: int,
+        rechecked: bool,
+    ):
+        self._rows = rows
+        self._tally = tally
+        self._hits = hits
+        self._misses = misses
+        self._results: Optional[list[CheckResult]] = None
+        self.elapsed_seconds = elapsed_seconds
+        self.jobs = jobs
+        self.cache_evictions = cache_evictions
+        self.coalesced = 0
+        #: dirty units submitted to the batch scheduler this check
+        self.checked = checked
+        #: subset of ``checked`` that was really analyzed (no cache tier hit)
+        self.ran = ran
+        #: clean units served straight from resident engine state
+        self.reused = reused
+        #: dirty units a restricted check did NOT submit: their results in
+        #: this report are the pre-edit ones and must not be trusted as fresh
+        self.stale = stale
+        #: engine revision of the state this report describes, read under
+        #: the engine lock as the check ends (not part of :meth:`encode`)
+        self.revision = revision
+        #: every submitted unit already had a result: the check re-ran
+        #: edited units, it was not a first check (not part of :meth:`encode`)
+        self.rechecked = rechecked
+
+    @property
+    def results(self) -> list[CheckResult]:
+        """Copies decoded from the rows on first use; the caller's to mutate."""
+        if self._results is None:
+            self._results = [
+                CheckResult.from_dict(json.loads(row)) for row in self._rows
+            ]
+        return self._results
+
+    def tally(self) -> dict[str, int]:
+        return dict(self._tally)
+
+    @property
+    def cache_hits(self) -> int:
+        return self._hits
+
+    @property
+    def cache_misses(self) -> int:
+        return self._misses
+
+    def encode(self, link: Optional[LinkReport] = None) -> str:
+        """The report as the daemon's ``check`` result, in the wire's
+        stable encoding; ``link`` adds the link pass's stanza."""
+        data = self.stanzas()
         data["incremental"] = {
-            "checked": list(self.checked),
-            "ran": list(self.ran),
+            "checked": self.checked,
+            "ran": self.ran,
             "reused": self.reused,
-            "stale": list(self.stale),
+            "stale": self.stale,
         }
-        return data
+        if link is not None:
+            data["link"] = link.to_dict()
+        # ``units`` sorts last, after every key above
+        return f'{_encode(data)[:-1]},"units":[{",".join(self._rows)}]}}'
+
+    def to_dict(self, link: Optional[LinkReport] = None) -> dict:
+        return json.loads(self.encode(link))
 
 
 class IncrementalEngine:
@@ -332,19 +430,6 @@ class IncrementalEngine:
 
     # -- checking -------------------------------------------------------------
 
-    def _reused_result(self, state: UnitState) -> CheckResult:
-        """A clean unit's resident result, copied so report consumers can
-        never mutate engine state."""
-        copy_started = time.perf_counter()
-        result = CheckResult.from_dict(state.payload)
-        result.from_cache = True
-        result.cache_tier = "memory"
-        result.wall_seconds = 0.0
-        # serving from resident state is this check's only cost for the
-        # unit; unlike wall_seconds it is measured, never a silent 0.0
-        result.probe_seconds = time.perf_counter() - copy_started
-        return result
-
     def check(
         self,
         names: Optional[Sequence[str | os.PathLike]] = None,
@@ -367,27 +452,26 @@ class IncrementalEngine:
                 for name in order
                 # never-checked units are always submitted (the report spans
                 # the whole corpus, so each unit needs at least one result)
-                if self._units[name].payload is None
+                if self._units[name].head is None
                 or (name in self._dirty and (wanted is None or name in wanted))
             ]
             rechecked = bool(candidates) and all(
-                self._units[name].payload is not None for name in candidates
+                self._units[name].head is not None for name in candidates
             )
             requests = [self._units[name].request for name in candidates]
             with span("engine-check", cat="phase", dirty=len(candidates)):
                 sub = run_batch(
                     requests, jobs=jobs or self.jobs, cache=self.cache
                 )
-            submitted: dict[str, CheckResult] = {}
+            submitted: dict[str, tuple[CheckResult, str]] = {}
             for name, result in zip(candidates, sub.results):
-                # resident state keeps the payload: the report's objects
-                # belong to the caller, who may filter/mutate them freely
-                self._units[name].payload = result.to_dict()
+                data = result.to_dict()
+                self._units[name].keep(data)
                 self._dirty.discard(name)
-                submitted[name] = result
+                submitted[name] = (result, _encode(data))
             self.checks_run += 1
             if candidates:
-                # resident payloads changed: a memo of the pre-check
+                # resident rows changed: a memo of the pre-check
                 # report (ran/reused/results) must not be replayed
                 self._bump_revision()
             return self._report(
@@ -414,27 +498,46 @@ class IncrementalEngine:
         self,
         started: float,
         jobs: int,
-        submitted: dict[str, CheckResult],
+        submitted: dict[str, tuple[CheckResult, str]],
         *,
         cache_evictions: int = 0,
         rechecked: bool = False,
     ) -> IncrementalReport:
-        """The corpus report: ``submitted`` results (in submission order)
-        where given, resident ones for every other unit."""
+        """The corpus report: the fresh row of each ``submitted`` result
+        (given with its encoding, in submission order), and for every
+        other unit its resident row with the measured ``probe_seconds``
+        of serving it."""
         order = sorted(self._units)
+        rows: list[str] = []
+        tally = DiagnosticBag().tally()
+        for name in order:
+            served = time.perf_counter()
+            state = self._units[name]
+            for column, count in state.tally.items():
+                tally[column] += count
+            if name in submitted:
+                rows.append(submitted[name][1])
+            else:
+                # serving from resident state is this check's only cost for
+                # the unit; unlike wall_seconds it is measured, never 0.0
+                probe = time.perf_counter() - served
+                rows.append(f"{state.head}{probe!r}{state.tail}")
+        fresh = [result for result, _row in submitted.values()]
         return IncrementalReport(
-            results=[
-                submitted[name]
-                if name in submitted
-                else self._reused_result(self._units[name])
-                for name in order
-            ],
+            rows=rows,
+            tally=tally,
+            hits=len(order) - len(fresh) + sum(r.from_cache for r in fresh),
+            misses=sum(
+                not r.from_cache and r.cache_tier != "coalesced" for r in fresh
+            ),
             elapsed_seconds=time.perf_counter() - started,
             jobs=jobs,
             cache_evictions=cache_evictions,
             checked=list(submitted),
             ran=[
-                name for name, result in submitted.items() if not result.from_cache
+                name
+                for name, (result, _row) in submitted.items()
+                if not result.from_cache
             ],
             reused=len(order) - len(submitted),
             # a restricted check leaves excluded dirty units stale:
@@ -460,12 +563,9 @@ class IncrementalEngine:
         with self._lock, span("link", cat="phase", units=len(self._units)):
             linker = Linker()
             for name in sorted(self._units):
-                payload = self._units[name].payload
-                if not payload or payload.get("failure") is not None:
-                    continue
-                summary = payload.get("summary")
-                if summary:
-                    linker.add_dict(summary)
+                state = self._units[name]
+                if state.summary and not state.failed:
+                    linker.add_dict(state.summary)
             host = host_summary(self._boundary, self._host_tuple())
             if host is not None:
                 linker.add_host(host)
@@ -519,11 +619,9 @@ class IncrementalEngine:
                 "revision": self._revision,
                 "jobs": self.jobs,
                 # memory-relevant residency: every unit keeps its request,
-                # checked ones also keep a result payload
+                # checked ones also keep an encoded result row
                 "resident_units": sum(
-                    1
-                    for state in self._units.values()
-                    if state.payload is not None
+                    1 for state in self._units.values() if state.head is not None
                 ),
                 "graph": self.graph.stats(),
                 "link": dict(self._last_link) if self._last_link else None,

@@ -312,10 +312,10 @@ class BatchReport:
         lines.append(footer.render())
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
+    def stanzas(self) -> dict:
+        """Every top-level field of :meth:`to_dict` but ``units``."""
         return {
             "schema_version": CACHE_SCHEMA_VERSION,
-            "units": [result.to_dict() for result in self.results],
             "tally": self.tally(),
             "cache": {
                 "hits": self.cache_hits,
@@ -326,6 +326,10 @@ class BatchReport:
             "jobs": self.jobs,
             "elapsed_seconds": self.elapsed_seconds,
         }
+
+    def to_dict(self) -> dict:
+        units = [result.to_dict() for result in self.results]
+        return {**self.stanzas(), "units": units}
 
 
 @dataclass

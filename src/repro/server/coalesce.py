@@ -24,13 +24,17 @@ Entries are keyed on ``(params digest, engine revision)``, so a check
 that races an invalidation can only ever observe *fresher* results than
 its key implies, never staler: the revision is read before the lookup,
 and publications always carry state at least as new as the revision
-they are filed under.
+they are filed under.  Revisions only grow, so an entry under an older
+revision can never be probed again: the memo holds only the newest
+revision it has filed under, dropping the older ones and never filing
+under one of them.  Its LRU cap bounds the entries within that revision.
 
 The shared payload is the *encoded result fragment* (a stable-JSON
-string), not a Python object — consumers splice their own request id
-around it (:func:`repro.server.protocol.splice_result`), which keeps
-fan-out O(bytes) and guarantees every client sees byte-identical
-diagnostics.
+string, itself spliced from the engine's resident per-unit rows by
+:meth:`repro.engine.IncrementalReport.encode`), not a Python object —
+consumers splice their own request id around it
+(:func:`repro.server.protocol.splice_result`), which keeps fan-out
+O(bytes) and guarantees every client sees byte-identical diagnostics.
 
 Futures are :class:`concurrent.futures.Future`, so synchronous
 transports block on ``result()`` while the asyncio daemon awaits them
@@ -44,8 +48,8 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Hashable, Optional, Union
 
-#: completed results remembered per coalescer; one entry per distinct
-#: params digest is typical, so this is ample for real traffic
+#: completed results remembered per coalescer at one engine revision;
+#: one entry per distinct params digest is typical, so this is ample
 DEFAULT_MEMO_ENTRIES = 64
 
 
@@ -77,6 +81,8 @@ class CheckCoalescer:
         self._inflight: dict[Hashable, InflightEntry] = {}
         self._memo: "OrderedDict[Hashable, str]" = OrderedDict()
         self._memo_entries = memo_entries
+        #: the engine revision every memo entry is filed under
+        self._memo_revision: Optional[int] = None
         #: check requests that received a (shared or fresh) result
         self.requests = 0
         #: requests that actually computed (coalescing leaders)
@@ -142,6 +148,12 @@ class CheckCoalescer:
             self._remember(key, fragment)
 
     def _remember(self, key: Hashable, fragment: str) -> None:
+        _digest, revision = key
+        if self._memo_revision is not None and revision < self._memo_revision:
+            return  # already superseded: no request can key on it again
+        if revision != self._memo_revision:
+            self._memo.clear()
+            self._memo_revision = revision
         self._memo[key] = fragment
         self._memo.move_to_end(key)
         while len(self._memo) > self._memo_entries:

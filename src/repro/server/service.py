@@ -280,9 +280,7 @@ class AnalysisService:
             with span("engine", cat="phase"):
                 report, link_report = self._run_check(params)
             with span("encode", cat="phase"):
-                fragment = protocol.encode_fragment(
-                    self._check_data(report, link_report)
-                )
+                fragment = report.encode(link_report)
         except BaseException as exc:
             self.coalescer.fail(entry, exc)
             raise
@@ -290,9 +288,7 @@ class AnalysisService:
         settled = self.engine.settled(report) if report.rechecked else None
         if settled is not None:
             with span("encode-settled", cat="phase"):
-                encoded = protocol.encode_fragment(
-                    self._check_data(settled, link_report)
-                )
+                encoded = settled.encode(link_report)
             digest, _revision = entry.key
             self.coalescer.remember((digest, report.revision), encoded)
         return fragment
@@ -347,15 +343,9 @@ class AnalysisService:
             return self.engine.link()
         return self.engine.check(params.get("units")), None
 
-    @staticmethod
-    def _check_data(report, link_report) -> dict:
-        data = report.to_dict()
-        if link_report is not None:
-            data["link"] = link_report.to_dict()
-        return data
-
     def _check(self, params: dict) -> dict:
-        return self._check_data(*self._run_check(params))
+        report, link_report = self._run_check(params)
+        return report.to_dict(link_report)
 
     def _link(self, params: dict) -> dict:
         return self._check({**params, "link": True})

@@ -497,6 +497,15 @@ class TestWarnings:
         """
         assert kinds(analyze(ml, c)) == [Kind.POLYMORPHIC_ABUSE]
 
+    def test_polymorphic_abuse_message_names_variables_per_message(self):
+        # the type in the message is rendered with per-message variable
+        # names, so the text does not depend on what ran before it
+        ml = "external seek : 'a -> int -> unit = \"ml_seek\""
+        c = "value ml_seek(value chan, value pos) { return Field(chan, 0); }"
+        first, again = ([d.message for d in analyze(ml, c).diagnostics] for _ in "ab")
+        assert first == again
+        assert "uses it at `(0, ((1, ∅) × π1) + σ1)`" in first[0]
+
     def test_unused_polymorphic_param_not_flagged(self):
         ml = "external ignore : 'a -> unit = \"ml_ignore\""
         c = "value ml_ignore(value x) { return Val_unit; }"

@@ -90,6 +90,30 @@ class TestMemoEviction:
         assert coalescer.probe(("k", 2)) == '{"v":2}'
 
 
+class TestMemoRevisions:
+    def test_filing_under_a_newer_revision_drops_older_ones(self):
+        coalescer = CheckCoalescer()
+        for digest in ("plain", "linked"):
+            _, entry = coalescer.begin((digest, 1))
+            coalescer.resolve(entry, f'{{"{digest}":1}}')
+        assert coalescer.stats()["memo_entries"] == 2
+        coalescer.remember(("plain", 2), '{"plain":2}')
+        # revisions only grow: nothing can key on revision 1 again
+        assert coalescer.stats()["memo_entries"] == 1
+        assert coalescer.probe(("linked", 1)) is None
+        assert coalescer.probe(("plain", 2)) == '{"plain":2}'
+
+    def test_a_superseded_revision_is_served_but_not_filed(self):
+        coalescer = CheckCoalescer()
+        coalescer.remember(("plain", 3), '{"v":3}')
+        _, entry = coalescer.begin(("plain", 2))  # keyed before a bump
+        coalescer.resolve(entry, '{"v":2}')
+        assert entry.future.result(timeout=1) == '{"v":2}'
+        assert coalescer.probe(("plain", 2)) is None
+        assert coalescer.probe(("plain", 3)) == '{"v":3}'
+        assert coalescer.stats()["memo_entries"] == 1
+
+
 class TestStats:
     def test_dedup_ratio_counts_shared_requests(self):
         coalescer = CheckCoalescer()

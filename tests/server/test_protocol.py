@@ -99,6 +99,14 @@ class TestSplice:
             payload
         )
 
+    def test_engine_rows_use_the_wire_encoding(self):
+        # the engine encodes resident report rows itself and the daemon
+        # splices them into replies verbatim: both must agree byte for byte
+        from repro.engine.incremental import _encode
+
+        payload = {"ψ": [1.5e-07, None, True], "b": {"z": "é\n", "a": 0.1}}
+        assert _encode(payload) == protocol.encode_fragment(payload)
+
     def test_overloaded_code_is_distinct_and_server_range(self):
         codes = {
             protocol.PARSE_ERROR,

@@ -115,6 +115,21 @@ def test_bench_smoke_runs_the_repo_benchmark(workflow):
     assert "--trace 1" in runs
 
 
+def test_bench_smoke_traces_the_daemon_path(workflow):
+    # the traced daemon replay binds the incremental engine and the
+    # service by name; a refactor of that path must fail in CI
+    (step,) = [
+        step
+        for step in workflow["jobs"]["bench-smoke"]["steps"]
+        if step.get("name", "").startswith("Repo benchmark traced smoke (daemon")
+    ]
+    run = " ".join(step["run"].replace("\\", " ").split())
+    assert run == (
+        "python perfbench/run.py --workload daemon-edit --seed 1 "
+        "--seconds 2 --trace 1"
+    )
+
+
 def test_concurrency_cancels_superseded_runs(workflow):
     concurrency = workflow["concurrency"]
     assert concurrency["cancel-in-progress"] is True
@@ -278,6 +293,7 @@ STEPS = {
         "Figure 9 table",
         "Repo benchmark unit tests",
         "Repo benchmark traced smoke (fig9-oneshot, every layer)",
+        "Repo benchmark traced smoke (daemon-edit, every layer)",
         "pyext dialect smoke (example exit codes)",
         "jni dialect smoke (example exit codes)",
         "rust dialect smoke (example exit codes + conformance)",
