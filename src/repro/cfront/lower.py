@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..seeds import seed_table
-from ..core.srctypes import CSrcFun, CSrcPtr, CSrcScalar, CSrcType, CSrcValue, CSrcVoid
+from ..core.srctypes import CSrcFun, CSrcPtr, CSrcScalar, CSrcType, CSrcValue
 from ..source import DUMMY_SPAN, Span
 from . import ast, ir
 from .macros import (
@@ -41,6 +41,8 @@ from .macros import (
     TAG_VAL_MACROS,
     VAL_OF_INT_MACROS,
     VALUE_CONSTANTS,
+    param_types,
+    return_types,
 )
 
 WORD_SIZE = 8
@@ -52,35 +54,11 @@ class LoweringError(Exception):
         super().__init__(f"{span}: {message}")
 
 
-def _kind_to_src(kind: str) -> CSrcType:
-    if kind == "value":
-        return CSrcValue()
-    if kind == "int":
-        return CSrcScalar("int")
-    if kind in ("charptr", "voidptr"):
-        return CSrcPtr(CSrcScalar("char"))
-    if kind == "valueptr":
-        return CSrcPtr(CSrcValue())
-    if kind in ("string", "float", "int32", "int64", "nativeint"):
-        return CSrcValue()
-    if kind == "void":
-        return CSrcVoid()
-    raise ValueError(kind)
-
-
 @seed_table("ocaml.base_tables")
 def _base_tables() -> tuple[dict[str, CSrcType], dict[str, list[CSrcType]]]:
     """The runtime-function tables (PR 5): identical for every unit, so
     they are built once per process and copied per SymbolTable."""
-    returns = {
-        name: _kind_to_src(spec.result)
-        for name, spec in RUNTIME_FUNCTIONS.items()
-    }
-    params = {
-        name: [_kind_to_src(k) for k in spec.params]
-        for name, spec in RUNTIME_FUNCTIONS.items()
-    }
-    return returns, params
+    return return_types(RUNTIME_FUNCTIONS), param_types(RUNTIME_FUNCTIONS)
 
 
 @dataclass

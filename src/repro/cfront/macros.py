@@ -5,7 +5,8 @@ The lowering recognizes the macro family of ``caml/mlvalues.h`` and
 matching on CIL, §5.1), and the checker seeds its function environment with
 the runtime's entry points, each carrying its GC effect.  Allocation,
 callback and exception-raising functions may trigger a collection; pure
-accessors may not.
+accessors may not.  The spec language the table is written in
+(:class:`BuiltinSpec`) is shared with the pyext and jni runtime tables.
 """
 
 from __future__ import annotations
@@ -14,6 +15,14 @@ from dataclasses import dataclass
 
 from ..core.environment import Entry
 from ..seeds import seed_table
+from ..core.srctypes import (
+    CSrcPtr,
+    CSrcScalar,
+    CSrcStruct,
+    CSrcType,
+    CSrcValue,
+    CSrcVoid,
+)
 from ..core.types import (
     C_INT,
     C_VOID,
@@ -26,6 +35,7 @@ from ..core.types import (
     GCEffect,
     MTCustom,
     NOGC,
+    fresh_ctvar,
     fresh_mt,
 )
 
@@ -85,23 +95,40 @@ CAMLRETURN0_MACROS = {"CAMLreturn0"}
 
 @dataclass(frozen=True)
 class BuiltinSpec:
-    """Shape of one runtime function, in a tiny spec language.
+    """Shape of one runtime function, in the spec language every dialect's
+    runtime table is written in.
 
     Parameter/result kinds:
       ``value``     fresh ``α value`` (instantiated per call site)
       ``int``       C scalar
       ``charptr``   ``char *``
       ``voidptr``   generic pointer (modelled as ``int *``)
-      ``valueptr``  ``value *`` (registered roots)
+      ``valueptr``  ``value *`` (registered roots; ``PyObject **``)
       ``string``    a ``caml_string`` custom block value
       ``float``     a ``caml_float`` custom block value
       ``int32/int64/nativeint``  their custom block values
+      ``moddef``    ``struct PyModuleDef *``
+      ``methodid``/``fieldid``  JNI's opaque ``jmethodID``/``jfieldID``
+      ``any``       a fresh C type variable: unifies with anything (JNI
+                    out-parameters like ``jboolean *isCopy`` that glue
+                    passes NULL to)
       ``void``      (result only)
+
+    ``effect`` defaults to ``nogc``, the effect of every pyext and jni
+    entry point.
     """
 
     params: tuple[str, ...]
     result: str
-    effect: GCEffect
+    effect: GCEffect = NOGC
+
+
+#: kinds that are pointers to a named struct -> that struct
+_STRUCT_POINTERS: dict[str, str] = {
+    "moddef": "PyModuleDef",
+    "methodid": "jmethodID",
+    "fieldid": "jfieldID",
+}
 
 
 def _kind_to_ct(kind: str) -> CType:
@@ -115,9 +142,29 @@ def _kind_to_ct(kind: str) -> CType:
         return CPtr(CValue(fresh_mt()))
     if kind in ("string", "float", "int32", "int64", "nativeint"):
         return CValue(MTCustom(CPtr(CStruct(f"caml_{kind}" if kind != "string" else "caml_string"))))
+    if kind in _STRUCT_POINTERS:
+        return CPtr(CStruct(_STRUCT_POINTERS[kind]))
+    if kind == "any":
+        return fresh_ctvar()
     if kind == "void":
         return C_VOID
     raise ValueError(f"unknown builtin kind `{kind}`")
+
+
+def _kind_to_src(kind: str) -> CSrcType:
+    if kind in ("value", "string", "float", "int32", "int64", "nativeint"):
+        return CSrcValue()
+    if kind == "int":
+        return CSrcScalar("int")
+    if kind in ("charptr", "voidptr", "any"):
+        return CSrcPtr(CSrcScalar("char"))
+    if kind == "valueptr":
+        return CSrcPtr(CSrcValue())
+    if kind in _STRUCT_POINTERS:
+        return CSrcPtr(CSrcStruct(_STRUCT_POINTERS[kind]))
+    if kind == "void":
+        return CSrcVoid()
+    raise ValueError(kind)
 
 
 def spec_to_cfun(spec: BuiltinSpec) -> CFun:
@@ -127,6 +174,24 @@ def spec_to_cfun(spec: BuiltinSpec) -> CFun:
         result=_kind_to_ct(spec.result),
         effect=spec.effect,
     )
+
+
+def spec_entries(table: dict[str, BuiltinSpec]) -> dict[str, Entry]:
+    """The function-environment entry of every spec in ``table``."""
+    return {name: Entry(spec_to_cfun(spec)) for name, spec in table.items()}
+
+
+def return_types(table: dict[str, BuiltinSpec]) -> dict[str, CSrcType]:
+    """Surface return types for the lowering's symbol table, so calls
+    into the runtime land in temporaries of the right surface type."""
+    return {name: _kind_to_src(spec.result) for name, spec in table.items()}
+
+
+def param_types(table: dict[str, BuiltinSpec]) -> dict[str, list[CSrcType]]:
+    """Surface parameter types, for the lowering's symbol table."""
+    return {
+        name: [_kind_to_src(k) for k in spec.params] for name, spec in table.items()
+    }
 
 
 #: The OCaml runtime API surface used by glue code.  Allocators, callbacks
@@ -212,10 +277,7 @@ def builtin_entries() -> dict[str, Entry]:
     across analysis runs cannot leak inference state between programs.
     Callers must treat the returned mapping as read-only.
     """
-    return {
-        name: Entry(spec_to_cfun(spec))
-        for name, spec in RUNTIME_FUNCTIONS.items()
-    }
+    return spec_entries(RUNTIME_FUNCTIONS)
 
 
 #: Builtins whose types must be instantiated afresh at every call site.

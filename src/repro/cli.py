@@ -430,8 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--log-json",
         default=None,
         metavar="FILE",
-        help="append one JSON event per served request to FILE (async "
-        "TCP daemon only): method, id, outcome, duration, coalesce role",
+        help="append one JSON event per served request to FILE (stdio "
+        "and TCP alike): method, id, outcome, duration, coalesce role",
     )
     serve.add_argument(
         "--tcp",

@@ -8,4 +8,11 @@ export naming convention; the conversion checks read JVM type descriptors
 ``PyArg_ParseTuple`` formats; and the protection discipline is the
 local/global reference lifecycle (``NewLocalRef``/``DeleteLocalRef``/
 ``NewGlobalRef``).
+
+The machinery jni shares with the pyext dialect lives in
+:mod:`repro.cfront`: the runtime spec language
+(:class:`repro.cfront.macros.BuiltinSpec`), the idiom rewrite
+(:mod:`repro.cfront.idioms`) and the reference-discipline interpreter
+(:mod:`repro.cfront.discipline`).  The modules here hold only what is
+JNI's.
 """

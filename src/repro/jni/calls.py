@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cfront import ast
+from ..cfront.idioms import DeclaredTypes
 from ..core.srctypes import CSrcPtr, CSrcStruct, CSrcType
 
 
@@ -23,44 +24,11 @@ def is_env_type(ctype: Optional[CSrcType]) -> bool:
     return isinstance(node, CSrcStruct) and node.name == "JNIEnv"
 
 
-class VarTypes:
+class VarTypes(DeclaredTypes):
     """Declared types of a function's parameters and locals."""
 
-    def __init__(self, fn: ast.FunctionDef):
-        self.types: dict[str, CSrcType] = dict(fn.params)
-        if fn.body is not None:
-            self._collect(fn.body)
-
-    def _collect(self, stmt: ast.CStmtOrDecl) -> None:
-        if isinstance(stmt, ast.Declaration):
-            self.types[stmt.name] = stmt.ctype
-        elif isinstance(stmt, ast.Block):
-            for item in stmt.items:
-                self._collect(item)
-        elif isinstance(stmt, ast.IfStmt):
-            self._collect(stmt.then)
-            if stmt.other is not None:
-                self._collect(stmt.other)
-        elif isinstance(stmt, (ast.WhileStmt, ast.DoWhileStmt)):
-            self._collect(stmt.body)
-        elif isinstance(stmt, ast.ForStmt):
-            if stmt.init is not None:
-                self._collect(stmt.init)
-            self._collect(stmt.body)
-        elif isinstance(stmt, ast.SwitchStmt):
-            for case in stmt.cases:
-                for item in case.body:
-                    self._collect(item)
-        elif isinstance(stmt, ast.LabeledStmt):
-            self._collect(stmt.stmt)
-
-    def get(self, name: str) -> Optional[CSrcType]:
-        return self.types.get(name)
-
     def is_env(self, expr: ast.CExpr) -> bool:
-        return isinstance(expr, ast.Name) and is_env_type(
-            self.types.get(expr.ident)
-        )
+        return isinstance(expr, ast.Name) and is_env_type(self.types.get(expr.ident))
 
 
 def _table_member(func: ast.CExpr, vars: VarTypes) -> Optional[str]:

@@ -28,7 +28,7 @@ from ..core.checker import AnalysisReport, InitialEnv
 from ..core.environment import Entry
 from ..diagnostics import Diagnostic
 from ..engine.jobs import CheckRequest
-from ..linker.extract import function_row, summarize_units
+from ..linker.extract import contract_summary
 from ..linker.summary import InterfaceSummary, SymbolRow
 from ..source import SourceFile
 from . import descriptors, refs, repository, runtime
@@ -88,34 +88,30 @@ class JniDialect:
     def summarize(self, request: CheckRequest, units) -> InterfaceSummary:
         """Link-relevant slice: C exports/externs plus every
         ``JNINativeMethod`` row and ``Java_*`` convention export."""
-        summary = InterfaceSummary(unit=request.name, dialect=self.name)
-        ignore = frozenset(runtime.builtin_entries()) | frozenset(
-            runtime.global_entries()
+        return contract_summary(
+            self,
+            request.name,
+            units,
+            table_rows=_native_rows,
+            is_entry_point=repository.is_native_export,
         )
-        summarize_units(summary, units, ignore=ignore)
-        for unit in units:
-            for entry in repository.native_method_entries(unit):
-                summary.registrations.append(
-                    SymbolRow(
-                        symbol=entry.java_name,
-                        type=entry.signature,
-                        file=entry.span.filename,
-                        line=entry.span.start.line,
-                        detail=entry.c_name,
-                    )
-                )
-            for fn in unit.functions:
-                if fn.body is not None and repository.is_native_export(
-                    fn.name
-                ):
-                    summary.registrations.append(
-                        function_row(fn, detail=fn.name)
-                    )
-        return summary
 
     def host_summary(self, request: CheckRequest) -> InterfaceSummary:
         """No host side: the boundary contract lives in the C units."""
         return InterfaceSummary(unit=HOST_UNIT, dialect=self.name)
+
+
+def _native_rows(unit: TranslationUnit) -> list[SymbolRow]:
+    return [
+        SymbolRow(
+            symbol=entry.java_name,
+            type=entry.signature,
+            file=entry.span.filename,
+            line=entry.span.start.line,
+            detail=entry.c_name,
+        )
+        for entry in repository.native_method_entries(unit)
+    ]
 
 
 JNI_DIALECT = register_dialect(JniDialect())

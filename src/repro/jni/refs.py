@@ -13,13 +13,11 @@ unprotected live value      local ref created per iteration, never
 use after ``CAMLreturn``    use after ``DeleteLocalRef``
 ==========================  ========================================
 
-The pass is a conservative abstract interpretation over the surface AST
-(the same discipline as :mod:`repro.pyext.refcount`).  Every reference
-variable carries one of six states — ``arg`` (value parameters: VM-owned
-locals), ``local`` (results of local-ref producers), ``global`` (results
-of ``NewGlobalRef``), ``deleted``, ``transferred``, ``unknown`` — and
-branches join pointwise, collapsing disagreement to ``unknown`` so
-reports only fire on facts that hold on *every* path:
+The pass is the shared reference-discipline interpretation
+(:mod:`repro.cfront.discipline`).  Every reference variable carries one
+of six states — ``arg`` (value parameters: VM-owned locals), ``local``
+(results of local-ref producers), ``global`` (results of
+``NewGlobalRef``), ``deleted``, ``transferred``, ``unknown``:
 
 * use of a ``deleted`` reference → ``JNI_USE_AFTER_DELETE`` (error)
 * a reference still ``local`` when a loop body ends an iteration it was
@@ -31,18 +29,25 @@ reports only fire on facts that hold on *every* path:
   ``NewGlobalRef`` → ``JNI_LOCAL_ESCAPE`` (warning — the frame dies, the
   cached pointer dangles)
 
-``if (x == NULL)``-style tests refine the state, which keeps the
-ubiquitous lookup-failure early-return idiom report-free.  References
-are *not* required to be deleted on straight-line paths: the VM frees
-the frame's locals itself, so only iteration and caching are dangerous.
+References are *not* required to be deleted on straight-line paths: the
+VM frees the frame's locals itself, so only iteration and caching are
+dangerous.
 """
+
 
 from __future__ import annotations
 
 from typing import Optional
 
 from ..cfront import ast
-from ..core.srctypes import CSrcValue
+from ..cfront.discipline import (
+    TRANSFERRED,
+    UNKNOWN,
+    RefDiscipline,
+    State,
+    strip_casts,
+)
+from ..cfront.idioms import value_globals
 from ..diagnostics import Diagnostic, Kind
 from ..source import Span
 from .calls import VarTypes, env_call
@@ -57,176 +62,84 @@ ARG = "arg"
 LOCAL = "local"
 GLOBAL = "global"
 DELETED = "deleted"
-TRANSFERRED = "transferred"
-UNKNOWN = "unknown"
-
-State = dict[str, str]
 
 _DELETE_FUNCTIONS = DELETE_LOCAL_FUNCTIONS | DELETE_GLOBAL_FUNCTIONS
 
 
-def _is_null(expr: ast.CExpr) -> bool:
-    return (isinstance(expr, ast.Name) and expr.ident == "NULL") or (
-        isinstance(expr, ast.Num) and expr.value == 0
-    )
-
-
-class RefChecker:
+class RefChecker(RefDiscipline):
     """Check one function body; collect diagnostics."""
 
+    param_state = ARG
+    released = DELETED
+    held = GLOBAL
+    results = {
+        **dict.fromkeys(GLOBAL_REF_FUNCTIONS, GLOBAL),
+        **dict.fromkeys(LOCAL_REF_FUNCTIONS, LOCAL),
+    }
+    use_after_kind = Kind.JNI_USE_AFTER_DELETE
+    releaser = "DeleteLocalRef/DeleteGlobalRef"
+    leak_kind = Kind.JNI_GLOBAL_REF_LEAK
+    held_noun = "global reference"
+    release_hint = "DeleteGlobalRef"
+    exit_why = "is still live at this return"
+
     def __init__(self, fn: ast.FunctionDef, global_values: frozenset[str]):
-        self.fn = fn
+        super().__init__(fn)
         self.vars = VarTypes(fn)
         self.global_values = global_values
-        self.diags: list[Diagnostic] = []
-        self.acquired_at: dict[str, Span] = {}
         #: append-only log of (name, span) local-ref acquisitions, so loop
         #: bodies can see what this iteration created
         self._acq_log: list[tuple[str, Span]] = []
-        self._reported_use: set[str] = set()
         self._reported_local_leak: set[str] = set()
-        self._reported_global_leak: set[str] = set()
 
-    # -- reporting ---------------------------------------------------------
+    def _callee(self, call: ast.Call) -> Optional[tuple[str, tuple[ast.CExpr, ...]]]:
+        return env_call(call, self.vars)
 
-    def _report(self, kind: Kind, span: Span, message: str) -> None:
-        self.diags.append(
-            Diagnostic(kind=kind, span=span, message=message, function=self.fn.name)
-        )
-
-    def _use_after(self, name: str, span: Span, how: str) -> None:
-        if name in self._reported_use:
-            return
-        self._reported_use.add(name)
-        self._report(
-            Kind.JNI_USE_AFTER_DELETE,
-            span,
-            f"`{name}` is {how} after DeleteLocalRef/DeleteGlobalRef "
-            "already released it",
-        )
-
-    # -- expression classification ----------------------------------------
-
-    def _log_local(self, name: str, span: Span) -> None:
-        self.acquired_at[name] = span
-        self._acq_log.append((name, span))
-
-    def _classify_rhs(self, expr: ast.CExpr, state: State) -> str:
-        """State of a right-hand side; a global ref MOVES out of an
-        aliased source (one reference, one releaser)."""
-        while isinstance(expr, ast.Cast):
-            expr = expr.operand
-        if isinstance(expr, ast.Call):
-            found = env_call(expr, self.vars)
-            if found is not None:
-                callee = found[0]
-                if callee in LOCAL_REF_FUNCTIONS:
-                    return LOCAL
-                if callee in GLOBAL_REF_FUNCTIONS:
-                    return GLOBAL
-            return UNKNOWN
-        if isinstance(expr, ast.Name):
-            source = state.get(expr.ident)
-            if source == GLOBAL:
-                state[expr.ident] = TRANSFERRED
-                return GLOBAL
-            if source in (LOCAL, ARG, DELETED):
-                return source
-        return UNKNOWN
-
-    def _check_uses(self, expr: Optional[ast.CExpr], state: State, span: Span) -> None:
-        """Flag reads of deleted references anywhere inside ``expr``."""
-        if expr is None:
-            return
-        if isinstance(expr, ast.Name):
-            if state.get(expr.ident) == DELETED:
-                self._use_after(expr.ident, span, "used")
-            return
-        if isinstance(expr, ast.Call):
-            for arg in expr.args:
-                self._check_uses(arg, state, span)
-            return
-        if isinstance(expr, ast.Unary):
-            self._check_uses(expr.operand, state, span)
-        elif isinstance(expr, ast.Binary):
-            self._check_uses(expr.left, state, span)
-            self._check_uses(expr.right, state, span)
-        elif isinstance(expr, ast.Conditional):
-            self._check_uses(expr.cond, state, span)
-            self._check_uses(expr.then, state, span)
-            self._check_uses(expr.other, state, span)
-        elif isinstance(expr, ast.Cast):
-            self._check_uses(expr.operand, state, span)
-        elif isinstance(expr, ast.Index):
-            self._check_uses(expr.base, state, span)
-            self._check_uses(expr.index, state, span)
-        elif isinstance(expr, ast.Member):
-            self._check_uses(expr.base, state, span)
-        elif isinstance(expr, ast.Assign):
-            self._check_uses(expr.value, state, span)
-        elif isinstance(expr, ast.IncDec):
-            self._check_uses(expr.target, state, span)
-
-    # -- effects of calls ---------------------------------------------------
-
-    def _apply_call(self, call: ast.Call, state: State, span: Span) -> bool:
-        """Interpret a call's reference effects; True if fully handled."""
-        found = env_call(call, self.vars)
-        if found is None:
+    def _call_effects(
+        self,
+        callee: str,
+        args: tuple[ast.CExpr, ...],
+        call: ast.Call,
+        state: State,
+        span: Span,
+    ) -> bool:
+        if callee not in _DELETE_FUNCTIONS or len(args) != 1:
             return False
-        callee, args = found
-        if callee in _DELETE_FUNCTIONS and len(args) == 1:
-            target = args[0]
-            while isinstance(target, ast.Cast):
-                target = target.operand
-            if isinstance(target, ast.Name):
-                name = target.ident
-                if state.get(name) == DELETED:
-                    self._use_after(name, span, f"{callee}-ed again")
-                elif name in state:
-                    state[name] = DELETED
-            return True
-        self._check_uses(call, state, span)
+        target = strip_casts(args[0])
+        if isinstance(target, ast.Name):
+            name = target.ident
+            if state.get(name) == DELETED:
+                self._use_after(name, span, f"{callee}-ed again")
+            elif name in state:
+                state[name] = DELETED
         return True
 
-    def _eval_expr(self, expr: Optional[ast.CExpr], state: State, span: Span) -> None:
-        """Evaluate an expression for its reference effects and uses."""
-        if expr is None:
-            return
-        if isinstance(expr, ast.Call):
-            if not self._apply_call(expr, state, span):
-                self._check_uses(expr, state, span)
-            return
-        if isinstance(expr, ast.Unary):
-            self._eval_expr(expr.operand, state, span)
-        elif isinstance(expr, ast.Binary):
-            self._eval_expr(expr.left, state, span)
-            self._eval_expr(expr.right, state, span)
-        elif isinstance(expr, ast.Conditional):
-            self._eval_expr(expr.cond, state, span)
-            self._eval_expr(expr.then, state, span)
-            self._eval_expr(expr.other, state, span)
-        elif isinstance(expr, ast.Cast):
-            self._eval_expr(expr.operand, state, span)
-        elif isinstance(expr, ast.Index):
-            self._eval_expr(expr.base, state, span)
-            self._eval_expr(expr.index, state, span)
-        elif isinstance(expr, ast.Member):
-            self._eval_expr(expr.base, state, span)
-        elif isinstance(expr, ast.IncDec):
-            self._eval_expr(expr.target, state, span)
-        elif isinstance(expr, ast.Assign):
-            self._apply_assign(expr, state, span)
-        else:
-            self._check_uses(expr, state, span)
+    def _acquire(self, name: str, var_state: str, span: Span) -> None:
+        if var_state in (LOCAL, GLOBAL):
+            self.acquired_at[name] = span
+        if var_state == LOCAL:
+            self._acq_log.append((name, span))
 
-    # -- assignments --------------------------------------------------------
+    def _overwritten(self, name: str, span: Span) -> None:
+        self._report(
+            Kind.JNI_GLOBAL_REF_LEAK,
+            span,
+            f"global reference held by `{name}` is overwritten "
+            "while still live; DeleteGlobalRef is missing",
+        )
+
+    def _store(
+        self, target: ast.CExpr, value: ast.CExpr, state: State, span: Span
+    ) -> None:
+        if isinstance(target, ast.Name) and target.ident in self.global_values:
+            self._escape_check(value, state, span)
+            return
+        # unlike a pyext store, a cast does not hide the stored reference
+        super()._store(target, strip_casts(value), state, span)
 
     def _escape_check(self, value: ast.CExpr, state: State, span: Span) -> None:
         """A reference stored into a file-scope global must be a global ref."""
-        probe = value
-        while isinstance(probe, ast.Cast):
-            probe = probe.operand
+        probe = strip_casts(value)
         if isinstance(probe, ast.Name):
             source = state.get(probe.ident)
             if source in (LOCAL, ARG):
@@ -250,107 +163,7 @@ class RefChecker:
                 "first",
             )
 
-    def _apply_assign(self, node: ast.Assign, state: State, span: Span) -> None:
-        self._eval_expr(node.value, state, span)
-        target = node.target
-        if isinstance(target, ast.Name) and target.ident in state:
-            name = target.ident
-            if state[name] == GLOBAL:
-                self._report(
-                    Kind.JNI_GLOBAL_REF_LEAK,
-                    span,
-                    f"global reference held by `{name}` is overwritten "
-                    "while still live; DeleteGlobalRef is missing",
-                )
-            if _is_null(node.value):
-                state[name] = UNKNOWN
-            else:
-                state[name] = self._classify_rhs(node.value, state)
-            if state[name] == LOCAL:
-                self._log_local(name, span)
-            elif state[name] == GLOBAL:
-                self.acquired_at[name] = span
-            return
-        if isinstance(target, ast.Name) and target.ident in self.global_values:
-            self._escape_check(node.value, state, span)
-            return
-        # store into a container/field: the reference escapes there
-        probe = node.value
-        while isinstance(probe, ast.Cast):
-            probe = probe.operand
-        if isinstance(probe, ast.Name) and state.get(probe.ident) == GLOBAL:
-            state[probe.ident] = TRANSFERRED
-        self._check_uses(target, state, span)
-
-    # -- exits --------------------------------------------------------------
-
-    def _exit_check(self, state: State, span: Span, returned: Optional[str]) -> None:
-        for name, var_state in sorted(state.items()):
-            if name == returned:
-                continue
-            if var_state == GLOBAL:
-                if name in self._reported_global_leak:
-                    continue
-                self._reported_global_leak.add(name)
-                where = self.acquired_at.get(name)
-                origin = f" (acquired at {where})" if where is not None else ""
-                self._report(
-                    Kind.JNI_GLOBAL_REF_LEAK,
-                    span,
-                    f"global reference held by `{name}`{origin} is still "
-                    "live at this return; DeleteGlobalRef is missing",
-                )
-
-    def _apply_return(
-        self, value: Optional[ast.CExpr], state: State, span: Span
-    ) -> None:
-        returned: Optional[str] = None
-        if value is not None:
-            self._check_uses(value, state, span)
-            while isinstance(value, ast.Cast):
-                value = value.operand
-            if isinstance(value, ast.Name):
-                returned = value.ident
-        self._exit_check(state, span, returned)
-
-    # -- condition refinement ----------------------------------------------
-
-    @staticmethod
-    def _null_test(cond: ast.CExpr) -> Optional[tuple[str, bool]]:
-        """``(name, is_null_in_then)`` for recognizable null tests."""
-        if isinstance(cond, ast.Unary) and cond.op == "!":
-            inner = cond.operand
-            if isinstance(inner, ast.Name):
-                return (inner.ident, True)
-            return None
-        if isinstance(cond, ast.Binary) and cond.op in ("==", "!="):
-            for probe, other in ((cond.left, cond.right), (cond.right, cond.left)):
-                if isinstance(probe, ast.Name) and _is_null(other):
-                    return (probe.ident, cond.op == "==")
-        if isinstance(cond, ast.Name):
-            return (cond.ident, False)
-        return None
-
-    # -- statement interpretation -------------------------------------------
-
-    @staticmethod
-    def _join(left: State, right: State) -> State:
-        joined: State = {}
-        for name in set(left) | set(right):
-            a, b = left.get(name), right.get(name)
-            if a == b and a is not None:
-                joined[name] = a
-            elif a is None:
-                joined[name] = b  # declared in one branch only
-            elif b is None:
-                joined[name] = a
-            else:
-                joined[name] = UNKNOWN
-        return joined
-
-    def _loop_body(
-        self, body: ast.CStmtOrDecl, state: State, span: Span
-    ) -> State:
+    def _loop_body(self, body: ast.CStmtOrDecl, state: State) -> State:
         """One abstract iteration; reports locals the iteration strands.
 
         Anything acquired during the body and still ``local`` when the
@@ -376,135 +189,11 @@ class RefChecker:
                 )
         return body_state
 
-    def _exec_stmt(self, stmt: ast.CStmtOrDecl, state: State) -> bool:
-        """Interpret one statement; True when the path terminated."""
-        if isinstance(stmt, ast.Declaration):
-            if not isinstance(stmt.ctype, CSrcValue):
-                if stmt.init is not None and not isinstance(stmt.init, ast.InitList):
-                    self._eval_expr(stmt.init, state, stmt.span)
-                return False
-            if stmt.init is None or _is_null(stmt.init):
-                state[stmt.name] = UNKNOWN
-            else:
-                self._eval_expr(stmt.init, state, stmt.span)
-                state[stmt.name] = self._classify_rhs(stmt.init, state)
-                if state[stmt.name] == LOCAL:
-                    self._log_local(stmt.name, stmt.span)
-                elif state[stmt.name] == GLOBAL:
-                    self.acquired_at[stmt.name] = stmt.span
-            return False
-        if isinstance(stmt, ast.Block):
-            for item in stmt.items:
-                if self._exec_stmt(item, state):
-                    return True
-            return False
-        if isinstance(stmt, ast.ExprStmt):
-            expr = stmt.expr
-            if isinstance(expr, ast.Assign):
-                self._apply_assign(expr, state, stmt.span)
-                return False
-            self._eval_expr(expr, state, stmt.span)
-            return False
-        if isinstance(stmt, ast.IfStmt):
-            return self._exec_if(stmt, state)
-        if isinstance(stmt, (ast.WhileStmt, ast.DoWhileStmt)):
-            self._eval_expr(stmt.cond, state, stmt.span)
-            body_state = self._loop_body(stmt.body, state, stmt.span)
-            merged = self._join(state, body_state)  # zero or more iterations
-            state.clear()
-            state.update(merged)
-            return False
-        if isinstance(stmt, ast.ForStmt):
-            if stmt.init is not None:
-                self._exec_stmt(stmt.init, state)
-            if stmt.cond is not None:
-                self._eval_expr(stmt.cond, state, stmt.span)
-            body_state = self._loop_body(stmt.body, state, stmt.span)
-            if stmt.step is not None:
-                self._eval_expr(stmt.step, body_state, stmt.span)
-            merged = self._join(state, body_state)
-            state.clear()
-            state.update(merged)
-            return False
-        if isinstance(stmt, ast.SwitchStmt):
-            self._eval_expr(stmt.scrutinee, state, stmt.span)
-            outcomes: list[State] = []
-            for case in stmt.cases:
-                case_state = dict(state)
-                terminated = False
-                for item in case.body:
-                    if self._exec_stmt(item, case_state):
-                        terminated = True
-                        break
-                if not terminated:
-                    outcomes.append(case_state)
-            outcomes.append(state)  # no case may match
-            merged = outcomes[0]
-            for outcome in outcomes[1:]:
-                merged = self._join(merged, outcome)
-            state.clear()
-            state.update(merged)
-            return False
-        if isinstance(stmt, ast.ReturnStmt):
-            self._apply_return(stmt.value, state, stmt.span)
-            return True
-        if isinstance(stmt, ast.LabeledStmt):
-            return self._exec_stmt(stmt.stmt, state)
-        # goto/break/continue/empty: no reference effects modelled
-        return False
-
-    def _exec_if(self, stmt: ast.IfStmt, state: State) -> bool:
-        self._eval_expr(stmt.cond, state, stmt.span)
-        then_state = dict(state)
-        else_state = dict(state)
-        refined = self._null_test(stmt.cond)
-        if refined is not None:
-            name, null_in_then = refined
-            if name in then_state:
-                (then_state if null_in_then else else_state)[name] = UNKNOWN
-        then_done = self._exec_stmt(stmt.then, then_state)
-        else_done = (
-            self._exec_stmt(stmt.other, else_state)
-            if stmt.other is not None
-            else False
-        )
-        if then_done and else_done:
-            return True
-        if then_done:
-            merged = else_state
-        elif else_done:
-            merged = then_state
-        else:
-            merged = self._join(then_state, else_state)
-        state.clear()
-        state.update(merged)
-        return False
-
-    # -- entry point ---------------------------------------------------------
-
-    def run(self) -> list[Diagnostic]:
-        if self.fn.body is None:
-            return []
-        state: State = {
-            name: ARG
-            for name, ctype in self.fn.params
-            if isinstance(ctype, CSrcValue)
-        }
-        terminated = self._exec_stmt(self.fn.body, state)
-        if not terminated:
-            # falling off the end is an exit too
-            self._exit_check(state, self.fn.span, returned=None)
-        return self.diags
-
 
 def check_unit(unit: ast.TranslationUnit) -> list[Diagnostic]:
     """Reference-discipline diagnostics for every function in the unit."""
-    global_values = frozenset(
-        decl.name
-        for decl in unit.globals
-        if isinstance(decl.ctype, CSrcValue)
-    )
+    globals_ = value_globals(unit)
     diags: list[Diagnostic] = []
     for fn in unit.functions:
-        diags.extend(RefChecker(fn, global_values).run())
+        diags.extend(RefChecker(fn, globals_).run())
     return diags

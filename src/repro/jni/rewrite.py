@@ -1,9 +1,8 @@
 """Normalize JNI idioms into the C subset the shared lowering models.
 
-The Figure 5 IR has no varargs, no preprocessor, and no calls through
-struct members, so the JNI spellings are rewritten before lowering (the
-original AST is what the descriptor and reference passes read — this
-pass runs last and feeds the type inference only):
+The ``NULL`` and null-test rewrites are shared with the pyext dialect
+(:mod:`repro.cfront.idioms`, here with ``__jni_null`` and
+``__jni_is_null``); the JNI spellings are this module's:
 
 * ``(*env)->GetIntField(env, obj, fid)`` — the C spelling of a call
   through the ``JNIEnv`` function table — flattens to a direct
@@ -12,17 +11,12 @@ pass runs last and feeds the type inference only):
 * the varargs tails of ``Call<T>Method``/``NewObject`` are truncated to
   the table's fixed arity — the argument list is the descriptor
   checker's business, not unification's;
-* ``NULL`` (kept as an identifier by the jni parse hints) becomes a call
-  to the polymorphic builtin ``__jni_null``, whose fresh ``α value``
-  result lets ``return NULL;`` type without committing other ``NULL``
-  uses to the value type;
-* null tests — ``x == NULL``, ``!x``, bare ``x`` in a condition — on
-  expressions known to produce a value become ``__jni_is_null`` calls;
-  on everything else they become plain boolean tests;
 * stores into file-scope reference globals (``cached_cls = ...`` — the
   class/method caching idiom) keep only their right-hand side: the
   checker does not track value globals (they surface as ``GLOBAL_VALUE``
   imprecision), and the reference pass owns the escape semantics.
+
+Variables are typed up front, from every declaration in the function.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cfront import ast
-from ..core.srctypes import CSrcValue
+from ..cfront.idioms import IdiomRewriter, rewrite_with, value_globals
 from .calls import VarTypes, env_call
 from .runtime import RUNTIME_FUNCTIONS
 
@@ -40,217 +34,41 @@ _VALUE_RESULT_FUNCTIONS = frozenset(
 )
 
 
-def _call(name: str, args: tuple[ast.CExpr, ...], span) -> ast.Call:
-    return ast.Call(func=ast.Name(name, span), args=args, span=span)
+class _JniRewriter(IdiomRewriter):
+    null_builtin = "__jni_null"
+    is_null_builtin = "__jni_is_null"
 
-
-def _is_null(expr: ast.CExpr) -> bool:
-    return isinstance(expr, ast.Name) and expr.ident == "NULL"
-
-
-class _FunctionRewriter:
-    """Rewrites one function body, tracking declared variable types so
-    env-table calls and value null tests can be recognized."""
-
-    def __init__(self, fn: ast.FunctionDef, value_globals: frozenset[str]):
+    def __init__(self, fn: ast.FunctionDef, globals_: frozenset[str]):
         self.vars = VarTypes(fn)
-        self.value_globals = value_globals
+        self.value_globals = globals_
+        super().__init__(self.vars.types)
 
-    # -- type probes -------------------------------------------------------
+    def is_value_call(self, node: ast.Call) -> bool:
+        found = env_call(node, self.vars)
+        return found is not None and found[0] in _VALUE_RESULT_FUNCTIONS
 
-    def _is_value_expr(self, expr: ast.CExpr) -> bool:
-        if isinstance(expr, ast.Name):
-            return isinstance(self.vars.get(expr.ident), CSrcValue)
-        if isinstance(expr, ast.Call):
-            found = env_call(expr, self.vars)
-            return found is not None and found[0] in _VALUE_RESULT_FUNCTIONS
-        return False
-
-    # -- expressions -------------------------------------------------------
-
-    def expr(self, node: ast.CExpr) -> ast.CExpr:
-        if isinstance(node, ast.Name):
-            if node.ident == "NULL":
-                return _call("__jni_null", (), node.span)
-            return node
-        if isinstance(node, (ast.Num, ast.Str, ast.SizeOf, ast.InitList)):
-            return node
-        if isinstance(node, ast.Unary):
-            return ast.Unary(node.op, self.expr(node.operand), node.span)
-        if isinstance(node, ast.Binary):
-            if node.op in ("==", "!=") and (
-                _is_null(node.left) or _is_null(node.right)
-            ):
-                return self._null_test(node)
-            return ast.Binary(
-                node.op, self.expr(node.left), self.expr(node.right), node.span
-            )
-        if isinstance(node, ast.Conditional):
-            return ast.Conditional(
-                self.cond(node.cond),
-                self.expr(node.then),
-                self.expr(node.other),
-                node.span,
-            )
-        if isinstance(node, ast.Cast):
-            return ast.Cast(node.ctype, self.expr(node.operand), node.span)
-        if isinstance(node, ast.Call):
-            return self._rewrite_call(node)
-        if isinstance(node, ast.Index):
-            return ast.Index(self.expr(node.base), self.expr(node.index), node.span)
-        if isinstance(node, ast.Member):
-            return ast.Member(
-                self.expr(node.base), node.field_name, node.arrow, node.span
-            )
-        if isinstance(node, ast.Assign):
-            return ast.Assign(
-                node.op, self.expr(node.target), self.expr(node.value), node.span
-            )
-        if isinstance(node, ast.IncDec):
-            return ast.IncDec(node.op, self.expr(node.target), node.span)
-        return node
-
-    def _null_test(self, node: ast.Binary) -> ast.CExpr:
-        """``e == NULL`` / ``e != NULL`` as a checkable boolean."""
-        operand = node.right if _is_null(node.left) else node.left
-        if self._is_value_expr(operand):
-            test: ast.CExpr = _call(
-                "__jni_is_null", (self.expr(operand),), node.span
-            )
-            if node.op == "!=":
-                test = ast.Unary("!", test, node.span)
-            return test
-        rewritten = self.expr(operand)
-        if node.op == "==":
-            return ast.Unary("!", rewritten, node.span)
-        return rewritten
-
-    def _rewrite_call(self, call: ast.Call) -> ast.CExpr:
-        found = env_call(call, self.vars)
+    def flatten_call(
+        self, node: ast.Call
+    ) -> Optional[tuple[str, tuple[ast.CExpr, ...]]]:
+        found = env_call(node, self.vars)
         if found is not None and found[0] in RUNTIME_FUNCTIONS:
             name, args = found
-            fixed = len(RUNTIME_FUNCTIONS[name].params)
-            kept = tuple(self.expr(a) for a in args[:fixed])
-            return _call(name, kept, call.span)
-        return ast.Call(
-            func=self.expr(call.func),
-            args=tuple(self.expr(a) for a in call.args),
-            span=call.span,
-        )
+            return name, args[: len(RUNTIME_FUNCTIONS[name].params)]
+        return None
 
-    # -- conditions --------------------------------------------------------
-
-    def cond(self, node: ast.CExpr) -> ast.CExpr:
-        """A condition position: truthiness of a value means 'not NULL'."""
-        if isinstance(node, ast.Unary) and node.op == "!":
-            inner = node.operand
-            if self._is_value_expr(inner):
-                return _call("__jni_is_null", (self.expr(inner),), node.span)
-            return ast.Unary("!", self.cond(inner), node.span)
-        if isinstance(node, ast.Binary) and node.op in ("&&", "||"):
-            return ast.Binary(
-                node.op, self.cond(node.left), self.cond(node.right), node.span
-            )
-        if self._is_value_expr(node):
-            return ast.Unary(
-                "!", _call("__jni_is_null", (self.expr(node),), node.span), node.span
-            )
-        return self.expr(node)
-
-    # -- statements --------------------------------------------------------
-
-    def stmt(self, node: ast.CStmtOrDecl) -> ast.CStmtOrDecl:
-        if isinstance(node, ast.Declaration):
-            init = node.init
-            if init is not None and not isinstance(init, ast.InitList):
-                init = self.expr(init)
-            return ast.Declaration(node.name, node.ctype, init, node.span)
-        if isinstance(node, ast.Block):
-            return ast.Block([self.stmt(s) for s in node.items], node.span)
-        if isinstance(node, ast.ExprStmt):
-            expr = node.expr
-            if (
-                isinstance(expr, ast.Assign)
-                and isinstance(expr.target, ast.Name)
-                and expr.target.ident in self.value_globals
-                and expr.target.ident not in self.vars.types
-            ):
-                return ast.ExprStmt(self.expr(expr.value), node.span)
-            return ast.ExprStmt(self.expr(expr), node.span)
-        if isinstance(node, ast.IfStmt):
-            return ast.IfStmt(
-                self.cond(node.cond),
-                self.stmt(node.then),
-                self.stmt(node.other) if node.other is not None else None,
-                node.span,
-            )
-        if isinstance(node, ast.WhileStmt):
-            return ast.WhileStmt(self.cond(node.cond), self.stmt(node.body), node.span)
-        if isinstance(node, ast.DoWhileStmt):
-            return ast.DoWhileStmt(
-                self.stmt(node.body), self.cond(node.cond), node.span
-            )
-        if isinstance(node, ast.ForStmt):
-            return ast.ForStmt(
-                self.stmt(node.init) if node.init is not None else None,
-                self.cond(node.cond) if node.cond is not None else None,
-                self.expr(node.step) if node.step is not None else None,
-                self.stmt(node.body),
-                node.span,
-            )
-        if isinstance(node, ast.SwitchStmt):
-            return ast.SwitchStmt(
-                self.expr(node.scrutinee),
-                [
-                    ast.SwitchCase(
-                        case.value,
-                        [self.stmt(item) for item in case.body],
-                        case.span,
-                    )
-                    for case in node.cases
-                ],
-                node.span,
-            )
-        if isinstance(node, ast.ReturnStmt):
-            value = self.expr(node.value) if node.value is not None else None
-            return ast.ReturnStmt(value, node.span)
-        if isinstance(node, ast.LabeledStmt):
-            rewritten = self.stmt(node.stmt)
-            assert not isinstance(rewritten, ast.Declaration)
-            return ast.LabeledStmt(node.label, rewritten, node.span)
-        return node
-
-
-def rewrite_function(
-    fn: ast.FunctionDef, value_globals: frozenset[str] = frozenset()
-) -> ast.FunctionDef:
-    body: Optional[ast.Block] = None
-    if fn.body is not None:
-        rewriter = _FunctionRewriter(fn, value_globals)
-        rewritten = rewriter.stmt(fn.body)
-        assert isinstance(rewritten, ast.Block)
-        body = rewritten
-    return ast.FunctionDef(
-        name=fn.name,
-        return_type=fn.return_type,
-        params=list(fn.params),
-        body=body,
-        span=fn.span,
-        polymorphic=fn.polymorphic,
-    )
+    def expr_stmt(self, node: ast.ExprStmt) -> Optional[ast.CStmt]:
+        expr = node.expr
+        if (
+            isinstance(expr, ast.Assign)
+            and isinstance(expr.target, ast.Name)
+            and expr.target.ident in self.value_globals
+            and expr.target.ident not in self.types
+        ):
+            return ast.ExprStmt(self.expr(expr.value), node.span)
+        return None
 
 
 def rewrite_unit(unit: ast.TranslationUnit) -> ast.TranslationUnit:
     """A rewritten copy of the unit; the input is left untouched."""
-    value_globals = frozenset(
-        decl.name
-        for decl in unit.globals
-        if isinstance(decl.ctype, CSrcValue)
-    )
-    return ast.TranslationUnit(
-        functions=[
-            rewrite_function(fn, value_globals) for fn in unit.functions
-        ],
-        globals=list(unit.globals),
-        filename=unit.filename,
-    )
+    globals_ = value_globals(unit)
+    return rewrite_with(unit, lambda fn: _JniRewriter(fn, globals_))

@@ -1,4 +1,4 @@
-"""Knowledge base for the JNI ``JNIEnv`` API, mirroring :mod:`repro.pyext.runtime`.
+"""Knowledge base for the JNI ``JNIEnv`` API, mirroring :mod:`repro.cfront.macros`.
 
 Three tables live here:
 
@@ -6,7 +6,8 @@ Three tables live here:
   typedef family *are* the boxed-value type, ``jmethodID``/``jfieldID``
   are opaque handles, ``JNIEXPORT``/``JNICALL`` are calling-convention
   markers, ``NULL`` stays an identifier for the rewrite);
-* the typing table for the ``JNIEnv*`` entry points, seeding the
+* the typing table for the ``JNIEnv*`` entry points, in the shared
+  :class:`~repro.cfront.macros.BuiltinSpec` language, seeding the
   checker's function environment.  Entries are named by the function-table
   member (``GetIntField``, ``CallObjectMethod``, ...) — the rewrite
   flattens ``(*env)->GetIntField(env, obj, fid)`` into a direct
@@ -23,32 +24,12 @@ Three tables live here:
 
 from __future__ import annotations
 
-
-from dataclasses import dataclass
-
+from ..cfront.macros import BuiltinSpec, return_types, spec_entries
 from ..cfront.parser import ParseHints
-from ..seeds import seed_table
 from ..core.environment import Entry
-from ..core.srctypes import (
-    CSrcPtr,
-    CSrcScalar,
-    CSrcStruct,
-    CSrcType,
-    CSrcValue,
-    CSrcVoid,
-)
-from ..core.types import (
-    C_INT,
-    C_VOID,
-    CFun,
-    CPtr,
-    CStruct,
-    CType,
-    CValue,
-    NOGC,
-    fresh_ctvar,
-    fresh_mt,
-)
+from ..core.srctypes import CSrcPtr, CSrcScalar, CSrcStruct, CSrcType, CSrcValue
+from ..core.types import C_INT
+from ..seeds import seed_table
 
 # -- parse hints ---------------------------------------------------------------
 
@@ -115,65 +96,6 @@ def parse_hints() -> ParseHints:
 
 # -- runtime entry-point signatures --------------------------------------------
 
-
-@dataclass(frozen=True)
-class JniSpec:
-    """Shape of one ``JNIEnv`` entry point, in the macros.py spec language.
-
-    Parameter/result kinds: ``value`` (fresh ``α value`` per call site),
-    ``int`` (any C scalar), ``charptr``, ``voidptr``, ``methodid``,
-    ``fieldid``, ``any`` (a fresh C type variable: unifies with anything,
-    for out-parameters like ``jboolean *isCopy`` that glue passes NULL
-    to), ``void``.
-    """
-
-    params: tuple[str, ...]
-    result: str
-
-
-def _kind_to_ct(kind: str) -> CType:
-    if kind == "value":
-        return CValue(fresh_mt())
-    if kind == "int":
-        return C_INT
-    if kind in ("charptr", "voidptr"):
-        return CPtr(C_INT)
-    if kind == "methodid":
-        return CPtr(CStruct("jmethodID"))
-    if kind == "fieldid":
-        return CPtr(CStruct("jfieldID"))
-    if kind == "any":
-        return fresh_ctvar()
-    if kind == "void":
-        return C_VOID
-    raise ValueError(f"unknown jni builtin kind `{kind}`")
-
-
-def _kind_to_src(kind: str) -> CSrcType:
-    if kind == "value":
-        return CSrcValue()
-    if kind == "int":
-        return CSrcScalar("int")
-    if kind in ("charptr", "voidptr", "any"):
-        return CSrcPtr(CSrcScalar("char"))
-    if kind == "methodid":
-        return CSrcPtr(CSrcStruct("jmethodID"))
-    if kind == "fieldid":
-        return CSrcPtr(CSrcStruct("jfieldID"))
-    if kind == "void":
-        return CSrcVoid()
-    raise ValueError(kind)
-
-
-def spec_to_cfun(spec: JniSpec) -> CFun:
-    """Materialize a spec with fresh type variables."""
-    return CFun(
-        params=tuple(_kind_to_ct(k) for k in spec.params),
-        result=_kind_to_ct(spec.result),
-        effect=NOGC,
-    )
-
-
 #: The primitive letters of ``Call<T>Method``/``Get<T>Field`` families:
 #: suffix -> (descriptor letter, spec kind).
 TYPE_VARIANTS: dict[str, tuple[str, str]] = {
@@ -201,103 +123,95 @@ _ARRAY_VARIANTS = (
 )
 
 
-def _build_runtime_table() -> dict[str, JniSpec]:
-    table: dict[str, JniSpec] = {
+def _build_runtime_table() -> dict[str, BuiltinSpec]:
+    table: dict[str, BuiltinSpec] = {
         # rewrite targets (see repro.jni.rewrite)
-        "__jni_null": JniSpec((), "value"),
-        "__jni_is_null": JniSpec(("value",), "int"),
+        "__jni_null": BuiltinSpec((), "value"),
+        "__jni_is_null": BuiltinSpec(("value",), "int"),
         # classes and reflection
-        "FindClass": JniSpec(("charptr",), "value"),
-        "GetObjectClass": JniSpec(("value",), "value"),
-        "GetSuperclass": JniSpec(("value",), "value"),
-        "IsAssignableFrom": JniSpec(("value", "value"), "int"),
-        "IsInstanceOf": JniSpec(("value", "value"), "int"),
-        "IsSameObject": JniSpec(("value", "value"), "int"),
+        "FindClass": BuiltinSpec(("charptr",), "value"),
+        "GetObjectClass": BuiltinSpec(("value",), "value"),
+        "GetSuperclass": BuiltinSpec(("value",), "value"),
+        "IsAssignableFrom": BuiltinSpec(("value", "value"), "int"),
+        "IsInstanceOf": BuiltinSpec(("value", "value"), "int"),
+        "IsSameObject": BuiltinSpec(("value", "value"), "int"),
         # method / field lookup
-        "GetMethodID": JniSpec(("value", "charptr", "charptr"), "methodid"),
-        "GetStaticMethodID": JniSpec(
-            ("value", "charptr", "charptr"), "methodid"
-        ),
-        "GetFieldID": JniSpec(("value", "charptr", "charptr"), "fieldid"),
-        "GetStaticFieldID": JniSpec(
-            ("value", "charptr", "charptr"), "fieldid"
-        ),
+        "GetMethodID": BuiltinSpec(("value", "charptr", "charptr"), "methodid"),
+        "GetStaticMethodID": BuiltinSpec(("value", "charptr", "charptr"), "methodid"),
+        "GetFieldID": BuiltinSpec(("value", "charptr", "charptr"), "fieldid"),
+        "GetStaticFieldID": BuiltinSpec(("value", "charptr", "charptr"), "fieldid"),
         # object construction (varargs tail truncated by the rewrite)
-        "NewObject": JniSpec(("value", "methodid"), "value"),
-        "AllocObject": JniSpec(("value",), "value"),
+        "NewObject": BuiltinSpec(("value", "methodid"), "value"),
+        "AllocObject": BuiltinSpec(("value",), "value"),
         # strings
-        "NewStringUTF": JniSpec(("charptr",), "value"),
-        "NewString": JniSpec(("voidptr", "int"), "value"),
-        "GetStringLength": JniSpec(("value",), "int"),
-        "GetStringUTFLength": JniSpec(("value",), "int"),
-        "GetStringUTFChars": JniSpec(("value", "any"), "charptr"),
-        "ReleaseStringUTFChars": JniSpec(("value", "charptr"), "void"),
-        "GetStringChars": JniSpec(("value", "any"), "voidptr"),
-        "ReleaseStringChars": JniSpec(("value", "voidptr"), "void"),
+        "NewStringUTF": BuiltinSpec(("charptr",), "value"),
+        "NewString": BuiltinSpec(("voidptr", "int"), "value"),
+        "GetStringLength": BuiltinSpec(("value",), "int"),
+        "GetStringUTFLength": BuiltinSpec(("value",), "int"),
+        "GetStringUTFChars": BuiltinSpec(("value", "any"), "charptr"),
+        "ReleaseStringUTFChars": BuiltinSpec(("value", "charptr"), "void"),
+        "GetStringChars": BuiltinSpec(("value", "any"), "voidptr"),
+        "ReleaseStringChars": BuiltinSpec(("value", "voidptr"), "void"),
         # reference lifecycle
-        "NewLocalRef": JniSpec(("value",), "value"),
-        "DeleteLocalRef": JniSpec(("value",), "void"),
-        "NewGlobalRef": JniSpec(("value",), "value"),
-        "DeleteGlobalRef": JniSpec(("value",), "void"),
-        "NewWeakGlobalRef": JniSpec(("value",), "value"),
-        "DeleteWeakGlobalRef": JniSpec(("value",), "void"),
-        "EnsureLocalCapacity": JniSpec(("int",), "int"),
-        "PushLocalFrame": JniSpec(("int",), "int"),
-        "PopLocalFrame": JniSpec(("value",), "value"),
+        "NewLocalRef": BuiltinSpec(("value",), "value"),
+        "DeleteLocalRef": BuiltinSpec(("value",), "void"),
+        "NewGlobalRef": BuiltinSpec(("value",), "value"),
+        "DeleteGlobalRef": BuiltinSpec(("value",), "void"),
+        "NewWeakGlobalRef": BuiltinSpec(("value",), "value"),
+        "DeleteWeakGlobalRef": BuiltinSpec(("value",), "void"),
+        "EnsureLocalCapacity": BuiltinSpec(("int",), "int"),
+        "PushLocalFrame": BuiltinSpec(("int",), "int"),
+        "PopLocalFrame": BuiltinSpec(("value",), "value"),
         # exceptions
-        "Throw": JniSpec(("value",), "int"),
-        "ThrowNew": JniSpec(("value", "charptr"), "int"),
-        "ExceptionOccurred": JniSpec((), "value"),
-        "ExceptionCheck": JniSpec((), "int"),
-        "ExceptionClear": JniSpec((), "void"),
-        "ExceptionDescribe": JniSpec((), "void"),
-        "FatalError": JniSpec(("charptr",), "void"),
+        "Throw": BuiltinSpec(("value",), "int"),
+        "ThrowNew": BuiltinSpec(("value", "charptr"), "int"),
+        "ExceptionOccurred": BuiltinSpec((), "value"),
+        "ExceptionCheck": BuiltinSpec((), "int"),
+        "ExceptionClear": BuiltinSpec((), "void"),
+        "ExceptionDescribe": BuiltinSpec((), "void"),
+        "FatalError": BuiltinSpec(("charptr",), "void"),
         # object arrays
-        "GetArrayLength": JniSpec(("value",), "int"),
-        "NewObjectArray": JniSpec(("int", "value", "value"), "value"),
-        "GetObjectArrayElement": JniSpec(("value", "int"), "value"),
-        "SetObjectArrayElement": JniSpec(("value", "int", "value"), "void"),
+        "GetArrayLength": BuiltinSpec(("value",), "int"),
+        "NewObjectArray": BuiltinSpec(("int", "value", "value"), "value"),
+        "GetObjectArrayElement": BuiltinSpec(("value", "int"), "value"),
+        "SetObjectArrayElement": BuiltinSpec(("value", "int", "value"), "void"),
         # monitors and the VM
-        "MonitorEnter": JniSpec(("value",), "int"),
-        "MonitorExit": JniSpec(("value",), "int"),
-        "GetJavaVM": JniSpec(("voidptr",), "int"),
-        "GetVersion": JniSpec((), "int"),
-        "RegisterNatives": JniSpec(("value", "voidptr", "int"), "int"),
-        "UnregisterNatives": JniSpec(("value",), "int"),
+        "MonitorEnter": BuiltinSpec(("value",), "int"),
+        "MonitorExit": BuiltinSpec(("value",), "int"),
+        "GetJavaVM": BuiltinSpec(("voidptr",), "int"),
+        "GetVersion": BuiltinSpec((), "int"),
+        "RegisterNatives": BuiltinSpec(("value", "voidptr", "int"), "int"),
+        "UnregisterNatives": BuiltinSpec(("value",), "int"),
     }
     for suffix, (_, kind) in TYPE_VARIANTS.items():
         # instance and static calls (varargs tails truncated by the rewrite)
-        table[f"Call{suffix}Method"] = JniSpec(("value", "methodid"), kind)
-        table[f"CallStatic{suffix}Method"] = JniSpec(
-            ("value", "methodid"), kind
-        )
-        table[f"CallNonvirtual{suffix}Method"] = JniSpec(
+        table[f"Call{suffix}Method"] = BuiltinSpec(("value", "methodid"), kind)
+        table[f"CallStatic{suffix}Method"] = BuiltinSpec(("value", "methodid"), kind)
+        table[f"CallNonvirtual{suffix}Method"] = BuiltinSpec(
             ("value", "value", "methodid"), kind
         )
         # field access
-        table[f"Get{suffix}Field"] = JniSpec(("value", "fieldid"), kind)
-        table[f"Set{suffix}Field"] = JniSpec(("value", "fieldid", kind), "void")
-        table[f"GetStatic{suffix}Field"] = JniSpec(("value", "fieldid"), kind)
-        table[f"SetStatic{suffix}Field"] = JniSpec(
+        table[f"Get{suffix}Field"] = BuiltinSpec(("value", "fieldid"), kind)
+        table[f"Set{suffix}Field"] = BuiltinSpec(("value", "fieldid", kind), "void")
+        table[f"GetStatic{suffix}Field"] = BuiltinSpec(("value", "fieldid"), kind)
+        table[f"SetStatic{suffix}Field"] = BuiltinSpec(
             ("value", "fieldid", kind), "void"
         )
-    table["CallVoidMethod"] = JniSpec(("value", "methodid"), "void")
-    table["CallStaticVoidMethod"] = JniSpec(("value", "methodid"), "void")
-    table["CallNonvirtualVoidMethod"] = JniSpec(
+    table["CallVoidMethod"] = BuiltinSpec(("value", "methodid"), "void")
+    table["CallStaticVoidMethod"] = BuiltinSpec(("value", "methodid"), "void")
+    table["CallNonvirtualVoidMethod"] = BuiltinSpec(
         ("value", "value", "methodid"), "void"
     )
     for variant in _ARRAY_VARIANTS:
-        table[f"New{variant}Array"] = JniSpec(("int",), "value")
-        table[f"Get{variant}ArrayElements"] = JniSpec(
-            ("value", "any"), "voidptr"
-        )
-        table[f"Release{variant}ArrayElements"] = JniSpec(
+        table[f"New{variant}Array"] = BuiltinSpec(("int",), "value")
+        table[f"Get{variant}ArrayElements"] = BuiltinSpec(("value", "any"), "voidptr")
+        table[f"Release{variant}ArrayElements"] = BuiltinSpec(
             ("value", "voidptr", "int"), "void"
         )
-        table[f"Get{variant}ArrayRegion"] = JniSpec(
+        table[f"Get{variant}ArrayRegion"] = BuiltinSpec(
             ("value", "int", "int", "voidptr"), "void"
         )
-        table[f"Set{variant}ArrayRegion"] = JniSpec(
+        table[f"Set{variant}ArrayRegion"] = BuiltinSpec(
             ("value", "int", "int", "voidptr"), "void"
         )
     return table
@@ -305,7 +219,7 @@ def _build_runtime_table() -> dict[str, JniSpec]:
 
 #: The ``JNIEnv`` function-table surface glue actually uses, plus the
 #: ``__jni_*`` internals the rewrite introduces.
-RUNTIME_FUNCTIONS: dict[str, JniSpec] = _build_runtime_table()
+RUNTIME_FUNCTIONS: dict[str, BuiltinSpec] = _build_runtime_table()
 
 #: Well-known runtime constants visible in every function (``jni.h``
 #: macros the tokenizer would otherwise leave as bare identifiers).
@@ -332,10 +246,7 @@ GLOBAL_SCALARS: tuple[str, ...] = (
 @seed_table("jni.builtin_entries")
 def builtin_entries() -> dict[str, Entry]:
     """The function-environment entries for every JNIEnv entry point (memoized)."""
-    return {
-        name: Entry(spec_to_cfun(spec))
-        for name, spec in RUNTIME_FUNCTIONS.items()
-    }
+    return spec_entries(RUNTIME_FUNCTIONS)
 
 
 @seed_table("jni.global_entries")
@@ -351,10 +262,7 @@ POLYMORPHIC_BUILTINS: frozenset[str] = frozenset(RUNTIME_FUNCTIONS)
 @seed_table("jni.lowering_return_types")
 def lowering_return_types() -> dict[str, CSrcType]:
     """Static return types for the lowering's symbol table (memoized)."""
-    return {
-        name: _kind_to_src(spec.result)
-        for name, spec in RUNTIME_FUNCTIONS.items()
-    }
+    return return_types(RUNTIME_FUNCTIONS)
 
 
 # -- reference semantics -------------------------------------------------------

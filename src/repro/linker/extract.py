@@ -16,10 +16,13 @@ objects, keeping summaries trivially serializable.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..cfront.ast import FunctionDef, TranslationUnit
 from .summary import InterfaceSummary, SymbolRow
+
+if TYPE_CHECKING:
+    from ..boundary import BoundaryDialect
 
 
 def function_type(fn: FunctionDef) -> str:
@@ -67,4 +70,29 @@ def summarize_units(
             elif fn.name not in defined and fn.name not in seen_externs:
                 seen_externs.add(fn.name)
                 summary.externs.append(function_row(fn))
+    return summary
+
+
+def contract_summary(
+    dialect: "BoundaryDialect",
+    name: str,
+    units: list[TranslationUnit],
+    table_rows: Callable[[TranslationUnit], Iterable[SymbolRow]],
+    is_entry_point: Callable[[str], bool],
+) -> InterfaceSummary:
+    """The link slice of unit ``name`` under a dialect whose boundary
+    contract lives in its C units (pyext, jni): exports/externs, then per
+    unit the rows of its registration tables and its defined entry points
+    (``PyInit_*``, ``Java_*``).  The dialect's runtime builtins and
+    globals are not link-relevant."""
+    summary = InterfaceSummary(unit=name, dialect=dialect.name)
+    ignore = frozenset(dialect.builtin_entries()) | frozenset(dialect.global_entries())
+    summarize_units(summary, units, ignore=ignore)
+    for unit in units:
+        summary.registrations.extend(table_rows(unit))
+        summary.registrations.extend(
+            function_row(fn, detail=fn.name)
+            for fn in unit.functions
+            if fn.body is not None and is_entry_point(fn.name)
+        )
     return summary

@@ -19,6 +19,13 @@ CPython side of each correspondence onto the shared inference:
   ``Py_RETURN_NONE``, varargs parsers) into the Figure 5 subset;
 * :mod:`repro.pyext.dialect` — ties it all together as a
   :class:`repro.boundary.BoundaryDialect`.
+
+The machinery pyext shares with the jni dialect lives in
+:mod:`repro.cfront`: the runtime spec language
+(:class:`repro.cfront.macros.BuiltinSpec`), the idiom rewrite
+(:mod:`repro.cfront.idioms`) and the reference-discipline interpreter
+(:mod:`repro.cfront.discipline`).  The modules here hold only what is
+CPython's.
 """
 
 from .dialect import PYEXT_DIALECT, PyExtDialect

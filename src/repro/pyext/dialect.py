@@ -26,7 +26,7 @@ from ..core.checker import AnalysisReport, InitialEnv
 from ..core.environment import Entry
 from ..diagnostics import Diagnostic
 from ..engine.jobs import CheckRequest
-from ..linker.extract import function_row, summarize_units
+from ..linker.extract import contract_summary
 from ..linker.summary import InterfaceSummary, SymbolRow
 from ..source import SourceFile
 from . import formats, methods, refcount, runtime
@@ -87,31 +87,29 @@ class PyExtDialect:
     def summarize(self, request: CheckRequest, units) -> InterfaceSummary:
         """Link-relevant slice: C exports/externs plus every
         ``PyMethodDef`` row and ``PyInit_*`` module entry point."""
-        summary = InterfaceSummary(unit=request.name, dialect=self.name)
-        ignore = frozenset(runtime.builtin_entries()) | frozenset(
-            runtime.global_entries()
+        return contract_summary(
+            self,
+            request.name,
+            units,
+            table_rows=_method_rows,
+            is_entry_point=lambda name: name.startswith("PyInit_"),
         )
-        summarize_units(summary, units, ignore=ignore)
-        for unit in units:
-            for entry in methods.method_table_entries(unit):
-                summary.registrations.append(
-                    SymbolRow(
-                        symbol=entry.py_name,
-                        file=entry.span.filename,
-                        line=entry.span.start.line,
-                        detail=entry.c_name,
-                    )
-                )
-            for fn in unit.functions:
-                if fn.body is not None and fn.name.startswith("PyInit_"):
-                    summary.registrations.append(
-                        function_row(fn, detail=fn.name)
-                    )
-        return summary
 
     def host_summary(self, request: CheckRequest) -> InterfaceSummary:
         """No host side: the boundary contract lives in the C units."""
         return InterfaceSummary(unit=HOST_UNIT, dialect=self.name)
+
+
+def _method_rows(unit: TranslationUnit) -> list[SymbolRow]:
+    return [
+        SymbolRow(
+            symbol=entry.py_name,
+            file=entry.span.filename,
+            line=entry.span.start.line,
+            detail=entry.c_name,
+        )
+        for entry in methods.method_table_entries(unit)
+    ]
 
 
 PYEXT_DIALECT = register_dialect(PyExtDialect())

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cfront import ast
+from ..cfront.idioms import DeclaredTypes
 from ..diagnostics import Diagnostic, Kind
 from ..core.srctypes import CSrcPtr, CSrcScalar, CSrcType, CSrcValue
 
@@ -150,36 +151,8 @@ def _classify(ctype: CSrcType) -> str:
     return ANY
 
 
-class _VarTypes:
+class _VarTypes(DeclaredTypes):
     """Declared types of a function's parameters and locals."""
-
-    def __init__(self, fn: ast.FunctionDef):
-        self.types: dict[str, CSrcType] = dict(fn.params)
-        if fn.body is not None:
-            self._collect(fn.body)
-
-    def _collect(self, stmt: ast.CStmtOrDecl) -> None:
-        if isinstance(stmt, ast.Declaration):
-            self.types[stmt.name] = stmt.ctype
-        elif isinstance(stmt, ast.Block):
-            for item in stmt.items:
-                self._collect(item)
-        elif isinstance(stmt, ast.IfStmt):
-            self._collect(stmt.then)
-            if stmt.other is not None:
-                self._collect(stmt.other)
-        elif isinstance(stmt, (ast.WhileStmt, ast.DoWhileStmt)):
-            self._collect(stmt.body)
-        elif isinstance(stmt, ast.ForStmt):
-            if stmt.init is not None:
-                self._collect(stmt.init)
-            self._collect(stmt.body)
-        elif isinstance(stmt, ast.SwitchStmt):
-            for case in stmt.cases:
-                for item in case.body:
-                    self._collect(item)
-        elif isinstance(stmt, ast.LabeledStmt):
-            self._collect(stmt.stmt)
 
     def target_class(self, arg: ast.CExpr) -> Optional[str]:
         """Class of what ``arg`` points at, for an output-pointer slot."""

@@ -12,22 +12,17 @@ unprotected live value      owned reference never ``Py_DECREF``-ed
 use after ``CAMLreturn``    use after ``Py_DECREF``
 ==========================  =====================================
 
-The pass is a conservative abstract interpretation over the surface AST.
-Every ``PyObject *`` variable carries one of five states — ``borrowed``
-(parameters, ``PyTuple_GetItem``-style results, the singletons), ``owned``
-(results of new-reference constructors), ``released`` (after
-``Py_DECREF``), ``transferred`` (given to a reference-stealing call), or
-``unknown`` — and branches join pointwise, with disagreement collapsing
-to ``unknown`` so reports only fire on facts that hold on *every* path:
+The pass is the shared reference-discipline interpretation
+(:mod:`repro.cfront.discipline`).  Every ``PyObject *`` variable carries
+one of five states — ``borrowed`` (parameters, ``PyTuple_GetItem``-style
+results, the singletons), ``owned`` (results of new-reference
+constructors), ``released`` (after ``Py_DECREF``), ``transferred`` (given
+to a reference-stealing call), or ``unknown``:
 
 * use of a ``released`` variable  → ``PY_USE_AFTER_DECREF`` (error)
 * ``owned`` at a function exit, or overwritten → ``PY_REF_LEAK`` (error)
 * ``borrowed`` escaping (returned / stolen) → ``PY_BORROWED_ESCAPE``
   (warning — the paper's "questionable practice" column)
-
-``if (x == NULL)``-style tests refine the state (a null can be neither
-leaked nor used), which is what keeps the ubiquitous allocation-failure
-early-return idiom report-free.
 """
 
 from __future__ import annotations
@@ -35,7 +30,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cfront import ast
-from ..core.srctypes import CSrcValue
+from ..cfront.discipline import (
+    TRANSFERRED,
+    UNKNOWN,
+    RefDiscipline,
+    State,
+)
 from ..diagnostics import Diagnostic, Kind
 from ..source import Span
 from .runtime import (
@@ -51,128 +51,51 @@ from .runtime import (
 BORROWED = "borrowed"
 OWNED = "owned"
 RELEASED = "released"
-TRANSFERRED = "transferred"
-UNKNOWN = "unknown"
-
-State = dict[str, str]
 
 #: parser entry points whose ``O`` outputs hand back borrowed references
 _PARSE_FUNCTIONS = {"PyArg_ParseTuple", "PyArg_ParseTupleAndKeywords"}
 
 
-def _is_null(expr: ast.CExpr) -> bool:
-    return (isinstance(expr, ast.Name) and expr.ident == "NULL") or (
-        isinstance(expr, ast.Num) and expr.value == 0
-    )
-
-
-class RefcountChecker:
+class RefcountChecker(RefDiscipline):
     """Check one function body; collect diagnostics."""
 
-    def __init__(self, fn: ast.FunctionDef):
-        self.fn = fn
-        self.diags: list[Diagnostic] = []
-        self.acquired_at: dict[str, Span] = {}
-        self._reported_use: set[str] = set()
-        self._reported_leak: set[str] = set()
+    param_state = BORROWED
+    released = RELEASED
+    held = OWNED
+    results = {
+        **dict.fromkeys(BORROWED_REF_FUNCTIONS, BORROWED),
+        **dict.fromkeys(NEW_REF_FUNCTIONS, OWNED),
+    }
+    use_after_kind = Kind.PY_USE_AFTER_DECREF
+    releaser = "Py_DECREF"
+    leak_kind = Kind.PY_REF_LEAK
+    held_noun = "new reference"
+    release_hint = "Py_DECREF"
+    exit_why = "is still owned at this return"
 
-    # -- reporting ---------------------------------------------------------
+    def _callee(self, call: ast.Call) -> Optional[tuple[str, tuple[ast.CExpr, ...]]]:
+        if isinstance(call.func, ast.Name):
+            return call.func.ident, call.args
+        return None
 
-    def _report(self, kind: Kind, span: Span, message: str) -> None:
-        self.diags.append(
-            Diagnostic(kind=kind, span=span, message=message, function=self.fn.name)
-        )
+    def _alias(self, name: str, state: State) -> str:
+        if name in GLOBAL_VALUES:
+            return BORROWED
+        return super()._alias(name, state)
 
-    def _use_after(self, name: str, span: Span, how: str) -> None:
-        if name in self._reported_use:
-            return
-        self._reported_use.add(name)
-        self._report(
-            Kind.PY_USE_AFTER_DECREF,
-            span,
-            f"`{name}` is {how} after Py_DECREF already released it",
-        )
+    def _eval_stored(self, expr: ast.CExpr, state: State, span: Span) -> None:
+        # a stored right-hand side is read for uses only: its call's
+        # reference effect is what the classification records
+        self._check_uses(expr, state, span)
 
-    def _leak(self, name: str, span: Span, why: str) -> None:
-        if name in self._reported_leak:
-            return
-        self._reported_leak.add(name)
-        where = self.acquired_at.get(name)
-        origin = f" (acquired at {where})" if where is not None else ""
-        self._report(
-            Kind.PY_REF_LEAK,
-            span,
-            f"new reference held by `{name}`{origin} {why}; Py_DECREF is "
-            "missing",
-        )
-
-    # -- expression classification ----------------------------------------
-
-    def _classify_rhs(self, expr: ast.CExpr, state: State) -> str:
-        """State of a right-hand side; MOVES ownership out of an aliased
-        source variable (one object, one owner — linear-type style)."""
-        while isinstance(expr, ast.Cast):
-            expr = expr.operand
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-            callee = expr.func.ident
-            if callee in NEW_REF_FUNCTIONS:
-                return OWNED
-            if callee in BORROWED_REF_FUNCTIONS:
-                return BORROWED
-            return UNKNOWN
-        if isinstance(expr, ast.Name):
-            if expr.ident in GLOBAL_VALUES:
-                return BORROWED
-            source = state.get(expr.ident)
-            if source == OWNED:
-                # `y = x`: the single owned reference travels to the alias
-                state[expr.ident] = TRANSFERRED
-                return OWNED
-            if source in (BORROWED, RELEASED):
-                return source
-        return UNKNOWN
-
-    def _check_uses(self, expr: Optional[ast.CExpr], state: State, span: Span) -> None:
-        """Flag reads of released variables anywhere inside ``expr``."""
-        if expr is None:
-            return
-        if isinstance(expr, ast.Name):
-            if state.get(expr.ident) == RELEASED:
-                self._use_after(expr.ident, span, "used")
-            return
-        if isinstance(expr, ast.Call):
-            for arg in expr.args:
-                self._check_uses(arg, state, span)
-            return
-        if isinstance(expr, ast.Unary):
-            self._check_uses(expr.operand, state, span)
-        elif isinstance(expr, ast.Binary):
-            self._check_uses(expr.left, state, span)
-            self._check_uses(expr.right, state, span)
-        elif isinstance(expr, ast.Conditional):
-            self._check_uses(expr.cond, state, span)
-            self._check_uses(expr.then, state, span)
-            self._check_uses(expr.other, state, span)
-        elif isinstance(expr, ast.Cast):
-            self._check_uses(expr.operand, state, span)
-        elif isinstance(expr, ast.Index):
-            self._check_uses(expr.base, state, span)
-            self._check_uses(expr.index, state, span)
-        elif isinstance(expr, ast.Member):
-            self._check_uses(expr.base, state, span)
-        elif isinstance(expr, ast.Assign):
-            self._check_uses(expr.value, state, span)
-        elif isinstance(expr, ast.IncDec):
-            self._check_uses(expr.target, state, span)
-
-    # -- effects of calls ---------------------------------------------------
-
-    def _apply_call(self, call: ast.Call, state: State, span: Span) -> bool:
-        """Interpret a call's reference effects; True if fully handled."""
-        if not isinstance(call.func, ast.Name):
-            return False
-        callee = call.func.ident
-        args = call.args
+    def _call_effects(
+        self,
+        callee: str,
+        args: tuple[ast.CExpr, ...],
+        call: ast.Call,
+        state: State,
+        span: Span,
+    ) -> bool:
         if callee in INCREF_FUNCTIONS and len(args) == 1:
             if isinstance(args[0], ast.Name):
                 name = args[0].ident
@@ -221,200 +144,17 @@ class RefcountChecker:
             return True
         return False
 
-    def _eval_expr(self, expr: Optional[ast.CExpr], state: State, span: Span) -> None:
-        """Evaluate an expression for its reference effects *and* its uses.
+    def _overwritten(self, name: str, span: Span) -> None:
+        self._leak(name, span, "is overwritten while still owned")
 
-        Conditions and expression statements routinely bury the effectful
-        call — ``if (!PyArg_ParseTuple(...))`` is the canonical idiom — so
-        calls found anywhere in the tree get their effects applied.
-        """
-        if expr is None:
-            return
-        if isinstance(expr, ast.Call):
-            if not self._apply_call(expr, state, span):
-                self._check_uses(expr, state, span)
-            return
-        if isinstance(expr, ast.Unary):
-            self._eval_expr(expr.operand, state, span)
-        elif isinstance(expr, ast.Binary):
-            self._eval_expr(expr.left, state, span)
-            self._eval_expr(expr.right, state, span)
-        elif isinstance(expr, ast.Conditional):
-            self._eval_expr(expr.cond, state, span)
-            self._eval_expr(expr.then, state, span)
-            self._eval_expr(expr.other, state, span)
-        elif isinstance(expr, ast.Cast):
-            self._eval_expr(expr.operand, state, span)
-        elif isinstance(expr, ast.Index):
-            self._eval_expr(expr.base, state, span)
-            self._eval_expr(expr.index, state, span)
-        elif isinstance(expr, ast.Member):
-            self._eval_expr(expr.base, state, span)
-        elif isinstance(expr, ast.IncDec):
-            self._eval_expr(expr.target, state, span)
-        elif isinstance(expr, ast.Assign):
-            self._apply_assign(expr, state, span)
-        else:
-            self._check_uses(expr, state, span)
-
-    # -- assignments --------------------------------------------------------
-
-    def _apply_assign(self, node: ast.Assign, state: State, span: Span) -> None:
-        self._check_uses(node.value, state, span)
-        target = node.target
-        if isinstance(target, ast.Name) and target.ident in state:
-            name = target.ident
-            if state[name] == OWNED:
-                self._leak(name, span, "is overwritten while still owned")
-            if _is_null(node.value):
-                state[name] = UNKNOWN
-            else:
-                state[name] = self._classify_rhs(node.value, state)
-            if state[name] == OWNED:
-                self.acquired_at[name] = span
-            return
-        # store into a container/field: an owned reference escapes there
-        if isinstance(node.value, ast.Name) and state.get(node.value.ident) == OWNED:
-            state[node.value.ident] = TRANSFERRED
-        self._check_uses(target, state, span)
-
-    # -- exits --------------------------------------------------------------
-
-    def _exit_check(self, state: State, span: Span, returned: Optional[str]) -> None:
-        for name, var_state in sorted(state.items()):
-            if name == returned:
-                continue
-            if var_state == OWNED:
-                self._leak(name, span, "is still owned at this return")
-
-    def _apply_return(
-        self, value: Optional[ast.CExpr], state: State, span: Span
-    ) -> None:
-        returned: Optional[str] = None
-        if value is not None:
-            self._check_uses(value, state, span)
-            while isinstance(value, ast.Cast):
-                value = value.operand  # `return (PyObject *)x;` returns x
-            if isinstance(value, ast.Name):
-                returned = value.ident
-                ret_state = state.get(
-                    returned, BORROWED if returned in GLOBAL_VALUES else None
-                )
-                if ret_state == BORROWED:
-                    self._report(
-                        Kind.PY_BORROWED_ESCAPE,
-                        span,
-                        f"returning borrowed reference `{returned}` without "
-                        "Py_INCREF; the caller will over-release it",
-                    )
-        self._exit_check(state, span, returned)
-
-    # -- condition refinement ----------------------------------------------
-
-    @staticmethod
-    def _null_test(cond: ast.CExpr) -> Optional[tuple[str, bool]]:
-        """``(name, is_null_in_then)`` for recognizable null tests."""
-        if isinstance(cond, ast.Unary) and cond.op == "!":
-            inner = cond.operand
-            if isinstance(inner, ast.Name):
-                return (inner.ident, True)
-            return None
-        if isinstance(cond, ast.Binary) and cond.op in ("==", "!="):
-            for probe, other in ((cond.left, cond.right), (cond.right, cond.left)):
-                if isinstance(probe, ast.Name) and _is_null(other):
-                    return (probe.ident, cond.op == "==")
-        if isinstance(cond, ast.Name):
-            return (cond.ident, False)
-        return None
-
-    # -- statement interpretation -------------------------------------------
-
-    @staticmethod
-    def _join(left: State, right: State) -> State:
-        joined: State = {}
-        for name in set(left) | set(right):
-            a, b = left.get(name), right.get(name)
-            if a == b and a is not None:
-                joined[name] = a
-            elif a is None:
-                joined[name] = b  # declared in one branch only
-            elif b is None:
-                joined[name] = a
-            else:
-                joined[name] = UNKNOWN
-        return joined
-
-    def _exec_stmt(self, stmt: ast.CStmtOrDecl, state: State) -> bool:
-        """Interpret one statement; True when the path terminated."""
-        if isinstance(stmt, ast.Declaration):
-            if not isinstance(stmt.ctype, CSrcValue):
-                if stmt.init is not None and not isinstance(stmt.init, ast.InitList):
-                    self._check_uses(stmt.init, state, stmt.span)
-                return False
-            if stmt.init is None or _is_null(stmt.init):
-                state[stmt.name] = UNKNOWN
-            else:
-                self._check_uses(stmt.init, state, stmt.span)
-                state[stmt.name] = self._classify_rhs(stmt.init, state)
-                if state[stmt.name] == OWNED:
-                    self.acquired_at[stmt.name] = stmt.span
-            return False
-        if isinstance(stmt, ast.Block):
-            for item in stmt.items:
-                if self._exec_stmt(item, state):
-                    return True
-            return False
-        if isinstance(stmt, ast.ExprStmt):
-            return self._exec_expr_stmt(stmt, state)
-        if isinstance(stmt, ast.IfStmt):
-            return self._exec_if(stmt, state)
-        if isinstance(stmt, (ast.WhileStmt, ast.DoWhileStmt)):
-            self._eval_expr(stmt.cond, state, stmt.span)
-            body_state = dict(state)
-            self._exec_stmt(stmt.body, body_state)
-            merged = self._join(state, body_state)  # zero or more iterations
-            state.clear()
-            state.update(merged)
-            return False
-        if isinstance(stmt, ast.ForStmt):
-            if stmt.init is not None:
-                self._exec_stmt(stmt.init, state)
-            if stmt.cond is not None:
-                self._eval_expr(stmt.cond, state, stmt.span)
-            body_state = dict(state)
-            self._exec_stmt(stmt.body, body_state)
-            if stmt.step is not None:
-                self._eval_expr(stmt.step, body_state, stmt.span)
-            merged = self._join(state, body_state)
-            state.clear()
-            state.update(merged)
-            return False
-        if isinstance(stmt, ast.SwitchStmt):
-            self._eval_expr(stmt.scrutinee, state, stmt.span)
-            outcomes: list[State] = []
-            for case in stmt.cases:
-                case_state = dict(state)
-                terminated = False
-                for item in case.body:
-                    if self._exec_stmt(item, case_state):
-                        terminated = True
-                        break
-                if not terminated:
-                    outcomes.append(case_state)
-            outcomes.append(state)  # no case may match
-            merged = outcomes[0]
-            for outcome in outcomes[1:]:
-                merged = self._join(merged, outcome)
-            state.clear()
-            state.update(merged)
-            return False
-        if isinstance(stmt, ast.ReturnStmt):
-            self._apply_return(stmt.value, state, stmt.span)
-            return True
-        if isinstance(stmt, ast.LabeledStmt):
-            return self._exec_stmt(stmt.stmt, state)
-        # goto/break/continue/empty: no reference effects modelled
-        return False
+    def _returning(self, name: str, state: State, span: Span) -> None:
+        if state.get(name, BORROWED if name in GLOBAL_VALUES else None) == BORROWED:
+            self._report(
+                Kind.PY_BORROWED_ESCAPE,
+                span,
+                f"returning borrowed reference `{name}` without "
+                "Py_INCREF; the caller will over-release it",
+            )
 
     def _exec_expr_stmt(self, stmt: ast.ExprStmt, state: State) -> bool:
         expr = stmt.expr
@@ -422,54 +162,7 @@ class RefcountChecker:
             # Py_RETURN_NONE ≡ Py_INCREF(Py_None); return Py_None;
             self._exit_check(state, stmt.span, returned=None)
             return True
-        if isinstance(expr, ast.Assign):
-            self._apply_assign(expr, state, stmt.span)
-            return False
-        self._eval_expr(expr, state, stmt.span)
-        return False
-
-    def _exec_if(self, stmt: ast.IfStmt, state: State) -> bool:
-        self._eval_expr(stmt.cond, state, stmt.span)
-        then_state = dict(state)
-        else_state = dict(state)
-        refined = self._null_test(stmt.cond)
-        if refined is not None:
-            name, null_in_then = refined
-            if name in then_state:
-                (then_state if null_in_then else else_state)[name] = UNKNOWN
-        then_done = self._exec_stmt(stmt.then, then_state)
-        else_done = (
-            self._exec_stmt(stmt.other, else_state)
-            if stmt.other is not None
-            else False
-        )
-        if then_done and else_done:
-            return True
-        if then_done:
-            merged = else_state
-        elif else_done:
-            merged = then_state
-        else:
-            merged = self._join(then_state, else_state)
-        state.clear()
-        state.update(merged)
-        return False
-
-    # -- entry point ---------------------------------------------------------
-
-    def run(self) -> list[Diagnostic]:
-        if self.fn.body is None:
-            return []
-        state: State = {
-            name: BORROWED
-            for name, ctype in self.fn.params
-            if isinstance(ctype, CSrcValue)
-        }
-        terminated = self._exec_stmt(self.fn.body, state)
-        if not terminated:
-            # falling off the end is an exit too
-            self._exit_check(state, self.fn.span, returned=None)
-        return self.diags
+        return super()._exec_expr_stmt(stmt, state)
 
 
 def check_unit(unit: ast.TranslationUnit) -> list[Diagnostic]:

@@ -1,18 +1,9 @@
 """Normalize CPython idioms into the C subset the shared lowering models.
 
-The Figure 5 IR has no varargs and no preprocessor, so a handful of
-CPython spellings are rewritten before lowering (the original AST is what
-the format and refcount passes read — this pass runs last and feeds the
-type inference only):
+The ``NULL`` and null-test rewrites are shared with the jni dialect
+(:mod:`repro.cfront.idioms`, here with ``__pyext_null`` and
+``__pyext_is_null``); the CPython spellings are this module's:
 
-* ``NULL`` (kept as an identifier by the pyext parse hints) becomes a
-  call to the polymorphic builtin ``__pyext_null``, whose fresh ``α
-  value`` result lets ``return NULL;`` and ``PyObject *x = NULL;`` type
-  without committing other ``NULL`` uses to the value type;
-* null tests — ``x == NULL``, ``!x``, bare ``x`` in a condition — on
-  expressions known to produce a value become ``__pyext_is_null`` calls
-  (values support no arithmetic, and the shared rules refuse raw values
-  as conditions); on everything else they become plain boolean tests;
 * ``PyArg_ParseTuple(args, fmt, ...)`` collapses to
   ``__pyext_parse_args(args)`` — the varargs tail is the format checker's
   business, not unification's;
@@ -20,6 +11,8 @@ type inference only):
 * ``PyErr_Format(exc, fmt, ...)`` truncates to its two fixed arguments;
 * statement macros ``Py_RETURN_NONE``/``_TRUE``/``_FALSE`` become
   ``return __pyext_none();``.
+
+Variables are typed in declaration order, as the rewrite reaches them.
 """
 
 from __future__ import annotations
@@ -27,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cfront import ast
-from ..core.srctypes import CSrcValue
+from ..cfront.idioms import IdiomRewriter, call, rewrite_with
 from .runtime import RETURN_MACROS, RUNTIME_FUNCTIONS
 
 #: call rewrites: callee -> new name + number of leading arguments to keep
@@ -45,210 +38,41 @@ _VALUE_RESULT_FUNCTIONS = frozenset(
 )
 
 
-def _call(name: str, args: tuple[ast.CExpr, ...], span) -> ast.Call:
-    return ast.Call(func=ast.Name(name, span), args=args, span=span)
-
-
-def _is_null(expr: ast.CExpr) -> bool:
-    return isinstance(expr, ast.Name) and expr.ident == "NULL"
-
-
-class _FunctionRewriter:
-    """Rewrites one function body, tracking declared variable types so
-    null tests on values can be told apart from null tests on C pointers."""
+class _PyExtRewriter(IdiomRewriter):
+    null_builtin = "__pyext_null"
+    is_null_builtin = "__pyext_is_null"
 
     def __init__(self, fn: ast.FunctionDef):
-        self.var_types: dict[str, object] = dict(fn.params)
+        super().__init__(dict(fn.params))
 
-    # -- type probes -------------------------------------------------------
+    def declare(self, decl: ast.Declaration) -> None:
+        self.types[decl.name] = decl.ctype
 
-    def _is_value_expr(self, expr: ast.CExpr) -> bool:
-        if isinstance(expr, ast.Name):
-            return isinstance(self.var_types.get(expr.ident), CSrcValue)
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-            return expr.func.ident in _VALUE_RESULT_FUNCTIONS
-        return False
-
-    # -- expressions -------------------------------------------------------
-
-    def expr(self, node: ast.CExpr) -> ast.CExpr:
-        if isinstance(node, ast.Name):
-            if node.ident == "NULL":
-                return _call("__pyext_null", (), node.span)
-            return node
-        if isinstance(node, (ast.Num, ast.Str, ast.SizeOf, ast.InitList)):
-            return node
-        if isinstance(node, ast.Unary):
-            return ast.Unary(node.op, self.expr(node.operand), node.span)
-        if isinstance(node, ast.Binary):
-            if node.op in ("==", "!=") and (
-                _is_null(node.left) or _is_null(node.right)
-            ):
-                return self._null_test(node)
-            return ast.Binary(
-                node.op, self.expr(node.left), self.expr(node.right), node.span
-            )
-        if isinstance(node, ast.Conditional):
-            return ast.Conditional(
-                self.cond(node.cond),
-                self.expr(node.then),
-                self.expr(node.other),
-                node.span,
-            )
-        if isinstance(node, ast.Cast):
-            return ast.Cast(node.ctype, self.expr(node.operand), node.span)
-        if isinstance(node, ast.Call):
-            return self._rewrite_call(node)
-        if isinstance(node, ast.Index):
-            return ast.Index(self.expr(node.base), self.expr(node.index), node.span)
-        if isinstance(node, ast.Member):
-            return ast.Member(
-                self.expr(node.base), node.field_name, node.arrow, node.span
-            )
-        if isinstance(node, ast.Assign):
-            return ast.Assign(
-                node.op, self.expr(node.target), self.expr(node.value), node.span
-            )
-        if isinstance(node, ast.IncDec):
-            return ast.IncDec(node.op, self.expr(node.target), node.span)
-        return node
-
-    def _null_test(self, node: ast.Binary) -> ast.CExpr:
-        """``e == NULL`` / ``e != NULL`` as a checkable boolean."""
-        operand = node.right if _is_null(node.left) else node.left
-        if self._is_value_expr(operand):
-            test: ast.CExpr = _call(
-                "__pyext_is_null", (self.expr(operand),), node.span
-            )
-            if node.op == "!=":
-                test = ast.Unary("!", test, node.span)
-            return test
-        rewritten = self.expr(operand)
-        if node.op == "==":
-            return ast.Unary("!", rewritten, node.span)
-        return rewritten
-
-    def _rewrite_call(self, call: ast.Call) -> ast.CExpr:
-        if isinstance(call.func, ast.Name) and call.func.ident in _CALL_REWRITES:
-            new_name, keep = _CALL_REWRITES[call.func.ident]
-            kept = tuple(self.expr(a) for a in call.args[:keep])
-            return _call(new_name, kept, call.span)
-        return ast.Call(
-            func=self.expr(call.func),
-            args=tuple(self.expr(a) for a in call.args),
-            span=call.span,
+    def is_value_call(self, node: ast.Call) -> bool:
+        return (
+            isinstance(node.func, ast.Name)
+            and node.func.ident in _VALUE_RESULT_FUNCTIONS
         )
 
-    # -- conditions --------------------------------------------------------
+    def flatten_call(
+        self, node: ast.Call
+    ) -> Optional[tuple[str, tuple[ast.CExpr, ...]]]:
+        if isinstance(node.func, ast.Name) and node.func.ident in _CALL_REWRITES:
+            new_name, keep = _CALL_REWRITES[node.func.ident]
+            return new_name, node.args[:keep]
+        return None
 
-    def cond(self, node: ast.CExpr) -> ast.CExpr:
-        """A condition position: truthiness of a value means 'not NULL'."""
-        if isinstance(node, ast.Unary) and node.op == "!":
-            inner = node.operand
-            if self._is_value_expr(inner):
-                return _call("__pyext_is_null", (self.expr(inner),), node.span)
-            return ast.Unary("!", self.cond(inner), node.span)
-        if isinstance(node, ast.Binary) and node.op in ("&&", "||"):
-            return ast.Binary(
-                node.op, self.cond(node.left), self.cond(node.right), node.span
+    def expr_stmt(self, node: ast.ExprStmt) -> Optional[ast.CStmt]:
+        macro = node.expr
+        if isinstance(macro, ast.Call):  # `Py_RETURN_NONE();` spells it too
+            macro = macro.func
+        if isinstance(macro, ast.Name) and macro.ident in RETURN_MACROS:
+            return ast.ReturnStmt(
+                value=call("__pyext_none", (), node.span), span=node.span
             )
-        if self._is_value_expr(node):
-            return ast.Unary(
-                "!", _call("__pyext_is_null", (self.expr(node),), node.span), node.span
-            )
-        return self.expr(node)
-
-    # -- statements --------------------------------------------------------
-
-    def stmt(self, node: ast.CStmtOrDecl) -> ast.CStmtOrDecl:
-        if isinstance(node, ast.Declaration):
-            self.var_types[node.name] = node.ctype
-            init = node.init
-            if init is not None and not isinstance(init, ast.InitList):
-                init = self.expr(init)
-            return ast.Declaration(node.name, node.ctype, init, node.span)
-        if isinstance(node, ast.Block):
-            return ast.Block([self.stmt(s) for s in node.items], node.span)
-        if isinstance(node, ast.ExprStmt):
-            expr = node.expr
-            if isinstance(expr, ast.Name) and expr.ident in RETURN_MACROS:
-                return ast.ReturnStmt(
-                    value=_call("__pyext_none", (), node.span), span=node.span
-                )
-            if (
-                isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Name)
-                and expr.func.ident in RETURN_MACROS
-            ):
-                return ast.ReturnStmt(
-                    value=_call("__pyext_none", (), node.span), span=node.span
-                )
-            return ast.ExprStmt(self.expr(expr), node.span)
-        if isinstance(node, ast.IfStmt):
-            return ast.IfStmt(
-                self.cond(node.cond),
-                self.stmt(node.then),
-                self.stmt(node.other) if node.other is not None else None,
-                node.span,
-            )
-        if isinstance(node, ast.WhileStmt):
-            return ast.WhileStmt(self.cond(node.cond), self.stmt(node.body), node.span)
-        if isinstance(node, ast.DoWhileStmt):
-            return ast.DoWhileStmt(
-                self.stmt(node.body), self.cond(node.cond), node.span
-            )
-        if isinstance(node, ast.ForStmt):
-            return ast.ForStmt(
-                self.stmt(node.init) if node.init is not None else None,
-                self.cond(node.cond) if node.cond is not None else None,
-                self.expr(node.step) if node.step is not None else None,
-                self.stmt(node.body),
-                node.span,
-            )
-        if isinstance(node, ast.SwitchStmt):
-            return ast.SwitchStmt(
-                self.expr(node.scrutinee),
-                [
-                    ast.SwitchCase(
-                        case.value,
-                        [self.stmt(item) for item in case.body],
-                        case.span,
-                    )
-                    for case in node.cases
-                ],
-                node.span,
-            )
-        if isinstance(node, ast.ReturnStmt):
-            value = self.expr(node.value) if node.value is not None else None
-            return ast.ReturnStmt(value, node.span)
-        if isinstance(node, ast.LabeledStmt):
-            rewritten = self.stmt(node.stmt)
-            assert not isinstance(rewritten, ast.Declaration)
-            return ast.LabeledStmt(node.label, rewritten, node.span)
-        return node
-
-
-def rewrite_function(fn: ast.FunctionDef) -> ast.FunctionDef:
-    body: Optional[ast.Block] = None
-    if fn.body is not None:
-        rewriter = _FunctionRewriter(fn)
-        rewritten = rewriter.stmt(fn.body)
-        assert isinstance(rewritten, ast.Block)
-        body = rewritten
-    return ast.FunctionDef(
-        name=fn.name,
-        return_type=fn.return_type,
-        params=list(fn.params),
-        body=body,
-        span=fn.span,
-        polymorphic=fn.polymorphic,
-    )
+        return None
 
 
 def rewrite_unit(unit: ast.TranslationUnit) -> ast.TranslationUnit:
     """A rewritten copy of the unit; the input is left untouched."""
-    return ast.TranslationUnit(
-        functions=[rewrite_function(fn) for fn in unit.functions],
-        globals=list(unit.globals),
-        filename=unit.filename,
-    )
+    return rewrite_with(unit, _PyExtRewriter)

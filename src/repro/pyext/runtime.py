@@ -5,8 +5,10 @@ Three tables live here:
 * parse hints, so the shared C parser reads extension-module source
   (``PyObject *`` is the boxed-value type, ``PyMethodDef`` et al. are
   known opaque structs, ``NULL`` stays an identifier for the rewrite);
-* the typing table for runtime entry points, seeding the checker's
-  function environment exactly like the OCaml runtime table does.  Every
+* the typing table for runtime entry points, in the shared
+  :class:`~repro.cfront.macros.BuiltinSpec` language, seeding the
+  checker's function environment exactly like the OCaml runtime table
+  does.  Every
   entry is ``nogc``: CPython's collector neither moves objects nor frees
   owned references behind C's back, so the OCaml protection obligations
   never fire — the reference-count discipline is this dialect's analogue
@@ -17,31 +19,12 @@ Three tables live here:
 
 from __future__ import annotations
 
-
-from dataclasses import dataclass
-
+from ..cfront.macros import BuiltinSpec, return_types, spec_entries
 from ..cfront.parser import ParseHints
-from ..seeds import seed_table
 from ..core.environment import Entry
-from ..core.srctypes import (
-    CSrcPtr,
-    CSrcScalar,
-    CSrcStruct,
-    CSrcType,
-    CSrcValue,
-    CSrcVoid,
-)
-from ..core.types import (
-    C_INT,
-    C_VOID,
-    CFun,
-    CPtr,
-    CStruct,
-    CType,
-    CValue,
-    NOGC,
-    fresh_mt,
-)
+from ..core.srctypes import CSrcPtr, CSrcScalar, CSrcStruct, CSrcType, CSrcValue
+from ..core.types import CValue, fresh_mt
+from ..seeds import seed_table
 
 # -- parse hints ---------------------------------------------------------------
 
@@ -81,154 +64,99 @@ def parse_hints() -> ParseHints:
 
 # -- runtime entry-point signatures --------------------------------------------
 
-
-@dataclass(frozen=True)
-class PySpec:
-    """Shape of one C-API function, in the macros.py spec language.
-
-    Parameter/result kinds: ``value`` (fresh ``α value`` per call site),
-    ``int`` (any C scalar), ``charptr``, ``voidptr``, ``valueptr``
-    (``PyObject **``), ``moddef`` (``struct PyModuleDef *``), ``void``.
-    """
-
-    params: tuple[str, ...]
-    result: str
-
-
-def _kind_to_ct(kind: str) -> CType:
-    if kind == "value":
-        return CValue(fresh_mt())
-    if kind == "int":
-        return C_INT
-    if kind in ("charptr", "voidptr"):
-        return CPtr(C_INT)
-    if kind == "valueptr":
-        return CPtr(CValue(fresh_mt()))
-    if kind == "moddef":
-        return CPtr(CStruct("PyModuleDef"))
-    if kind == "void":
-        return C_VOID
-    raise ValueError(f"unknown pyext builtin kind `{kind}`")
-
-
-def _kind_to_src(kind: str) -> CSrcType:
-    if kind == "value":
-        return CSrcValue()
-    if kind == "int":
-        return CSrcScalar("int")
-    if kind in ("charptr", "voidptr"):
-        return CSrcPtr(CSrcScalar("char"))
-    if kind == "valueptr":
-        return CSrcPtr(CSrcValue())
-    if kind == "moddef":
-        return CSrcPtr(CSrcStruct("PyModuleDef"))
-    if kind == "void":
-        return CSrcVoid()
-    raise ValueError(kind)
-
-
-def spec_to_cfun(spec: PySpec) -> CFun:
-    """Materialize a spec with fresh type variables."""
-    return CFun(
-        params=tuple(_kind_to_ct(k) for k in spec.params),
-        result=_kind_to_ct(spec.result),
-        effect=NOGC,
-    )
-
-
 #: The CPython API surface extension glue actually uses, plus the
 #: ``__pyext_*`` internals the rewrite introduces for varargs macros.
-RUNTIME_FUNCTIONS: dict[str, PySpec] = {
+RUNTIME_FUNCTIONS: dict[str, BuiltinSpec] = {
     # rewrite targets (see repro.pyext.rewrite)
-    "__pyext_null": PySpec((), "value"),
-    "__pyext_none": PySpec((), "value"),
-    "__pyext_is_null": PySpec(("value",), "int"),
-    "__pyext_parse_args": PySpec(("value",), "int"),
-    "__pyext_parse_args_kw": PySpec(("value", "value"), "int"),
-    "__pyext_build_value": PySpec((), "value"),
+    "__pyext_null": BuiltinSpec((), "value"),
+    "__pyext_none": BuiltinSpec((), "value"),
+    "__pyext_is_null": BuiltinSpec(("value",), "int"),
+    "__pyext_parse_args": BuiltinSpec(("value",), "int"),
+    "__pyext_parse_args_kw": BuiltinSpec(("value", "value"), "int"),
+    "__pyext_build_value": BuiltinSpec((), "value"),
     # reference counting
-    "Py_INCREF": PySpec(("value",), "void"),
-    "Py_DECREF": PySpec(("value",), "void"),
-    "Py_XINCREF": PySpec(("value",), "void"),
-    "Py_XDECREF": PySpec(("value",), "void"),
-    "Py_CLEAR": PySpec(("value",), "void"),
+    "Py_INCREF": BuiltinSpec(("value",), "void"),
+    "Py_DECREF": BuiltinSpec(("value",), "void"),
+    "Py_XINCREF": BuiltinSpec(("value",), "void"),
+    "Py_XDECREF": BuiltinSpec(("value",), "void"),
+    "Py_CLEAR": BuiltinSpec(("value",), "void"),
     # scalar conversions
-    "PyLong_FromLong": PySpec(("int",), "value"),
-    "PyLong_FromSsize_t": PySpec(("int",), "value"),
-    "PyLong_FromUnsignedLong": PySpec(("int",), "value"),
-    "PyLong_AsLong": PySpec(("value",), "int"),
-    "PyLong_AsSsize_t": PySpec(("value",), "int"),
-    "PyLong_Check": PySpec(("value",), "int"),
-    "PyFloat_FromDouble": PySpec(("int",), "value"),
-    "PyFloat_AsDouble": PySpec(("value",), "int"),
-    "PyFloat_Check": PySpec(("value",), "int"),
-    "PyBool_FromLong": PySpec(("int",), "value"),
+    "PyLong_FromLong": BuiltinSpec(("int",), "value"),
+    "PyLong_FromSsize_t": BuiltinSpec(("int",), "value"),
+    "PyLong_FromUnsignedLong": BuiltinSpec(("int",), "value"),
+    "PyLong_AsLong": BuiltinSpec(("value",), "int"),
+    "PyLong_AsSsize_t": BuiltinSpec(("value",), "int"),
+    "PyLong_Check": BuiltinSpec(("value",), "int"),
+    "PyFloat_FromDouble": BuiltinSpec(("int",), "value"),
+    "PyFloat_AsDouble": BuiltinSpec(("value",), "int"),
+    "PyFloat_Check": BuiltinSpec(("value",), "int"),
+    "PyBool_FromLong": BuiltinSpec(("int",), "value"),
     # strings and bytes
-    "PyUnicode_FromString": PySpec(("charptr",), "value"),
-    "PyUnicode_AsUTF8": PySpec(("value",), "charptr"),
-    "PyUnicode_Check": PySpec(("value",), "int"),
-    "PyUnicode_Concat": PySpec(("value", "value"), "value"),
-    "PyUnicode_GetLength": PySpec(("value",), "int"),
-    "PyBytes_FromString": PySpec(("charptr",), "value"),
-    "PyBytes_AsString": PySpec(("value",), "charptr"),
-    "PyBytes_Size": PySpec(("value",), "int"),
+    "PyUnicode_FromString": BuiltinSpec(("charptr",), "value"),
+    "PyUnicode_AsUTF8": BuiltinSpec(("value",), "charptr"),
+    "PyUnicode_Check": BuiltinSpec(("value",), "int"),
+    "PyUnicode_Concat": BuiltinSpec(("value", "value"), "value"),
+    "PyUnicode_GetLength": BuiltinSpec(("value",), "int"),
+    "PyBytes_FromString": BuiltinSpec(("charptr",), "value"),
+    "PyBytes_AsString": BuiltinSpec(("value",), "charptr"),
+    "PyBytes_Size": BuiltinSpec(("value",), "int"),
     # tuples
-    "PyTuple_New": PySpec(("int",), "value"),
-    "PyTuple_Size": PySpec(("value",), "int"),
-    "PyTuple_GetItem": PySpec(("value", "int"), "value"),
-    "PyTuple_SetItem": PySpec(("value", "int", "value"), "int"),
-    "PyTuple_Pack": PySpec(("int", "value"), "value"),
+    "PyTuple_New": BuiltinSpec(("int",), "value"),
+    "PyTuple_Size": BuiltinSpec(("value",), "int"),
+    "PyTuple_GetItem": BuiltinSpec(("value", "int"), "value"),
+    "PyTuple_SetItem": BuiltinSpec(("value", "int", "value"), "int"),
+    "PyTuple_Pack": BuiltinSpec(("int", "value"), "value"),
     # lists
-    "PyList_New": PySpec(("int",), "value"),
-    "PyList_Size": PySpec(("value",), "int"),
-    "PyList_GetItem": PySpec(("value", "int"), "value"),
-    "PyList_SetItem": PySpec(("value", "int", "value"), "int"),
-    "PyList_Append": PySpec(("value", "value"), "int"),
+    "PyList_New": BuiltinSpec(("int",), "value"),
+    "PyList_Size": BuiltinSpec(("value",), "int"),
+    "PyList_GetItem": BuiltinSpec(("value", "int"), "value"),
+    "PyList_SetItem": BuiltinSpec(("value", "int", "value"), "int"),
+    "PyList_Append": BuiltinSpec(("value", "value"), "int"),
     # dicts
-    "PyDict_New": PySpec((), "value"),
-    "PyDict_GetItem": PySpec(("value", "value"), "value"),
-    "PyDict_GetItemString": PySpec(("value", "charptr"), "value"),
-    "PyDict_SetItem": PySpec(("value", "value", "value"), "int"),
-    "PyDict_SetItemString": PySpec(("value", "charptr", "value"), "int"),
-    "PyDict_Size": PySpec(("value",), "int"),
+    "PyDict_New": BuiltinSpec((), "value"),
+    "PyDict_GetItem": BuiltinSpec(("value", "value"), "value"),
+    "PyDict_GetItemString": BuiltinSpec(("value", "charptr"), "value"),
+    "PyDict_SetItem": BuiltinSpec(("value", "value", "value"), "int"),
+    "PyDict_SetItemString": BuiltinSpec(("value", "charptr", "value"), "int"),
+    "PyDict_Size": BuiltinSpec(("value",), "int"),
     # generic object protocol
-    "PyObject_CallObject": PySpec(("value", "value"), "value"),
-    "PyObject_Call": PySpec(("value", "value", "value"), "value"),
-    "PyObject_CallNoArgs": PySpec(("value",), "value"),
-    "PyObject_CallOneArg": PySpec(("value", "value"), "value"),
-    "PyObject_GetAttrString": PySpec(("value", "charptr"), "value"),
-    "PyObject_SetAttrString": PySpec(("value", "charptr", "value"), "int"),
-    "PyObject_Repr": PySpec(("value",), "value"),
-    "PyObject_Str": PySpec(("value",), "value"),
-    "PyObject_IsTrue": PySpec(("value",), "int"),
-    "PyObject_Length": PySpec(("value",), "int"),
-    "PyObject_Size": PySpec(("value",), "int"),
-    "PyCallable_Check": PySpec(("value",), "int"),
-    "PySequence_GetItem": PySpec(("value", "int"), "value"),
-    "PySequence_Length": PySpec(("value",), "int"),
-    "PyNumber_Add": PySpec(("value", "value"), "value"),
-    "PyNumber_Multiply": PySpec(("value", "value"), "value"),
-    "PyIter_Next": PySpec(("value",), "value"),
+    "PyObject_CallObject": BuiltinSpec(("value", "value"), "value"),
+    "PyObject_Call": BuiltinSpec(("value", "value", "value"), "value"),
+    "PyObject_CallNoArgs": BuiltinSpec(("value",), "value"),
+    "PyObject_CallOneArg": BuiltinSpec(("value", "value"), "value"),
+    "PyObject_GetAttrString": BuiltinSpec(("value", "charptr"), "value"),
+    "PyObject_SetAttrString": BuiltinSpec(("value", "charptr", "value"), "int"),
+    "PyObject_Repr": BuiltinSpec(("value",), "value"),
+    "PyObject_Str": BuiltinSpec(("value",), "value"),
+    "PyObject_IsTrue": BuiltinSpec(("value",), "int"),
+    "PyObject_Length": BuiltinSpec(("value",), "int"),
+    "PyObject_Size": BuiltinSpec(("value",), "int"),
+    "PyCallable_Check": BuiltinSpec(("value",), "int"),
+    "PySequence_GetItem": BuiltinSpec(("value", "int"), "value"),
+    "PySequence_Length": BuiltinSpec(("value",), "int"),
+    "PyNumber_Add": BuiltinSpec(("value", "value"), "value"),
+    "PyNumber_Multiply": BuiltinSpec(("value", "value"), "value"),
+    "PyIter_Next": BuiltinSpec(("value",), "value"),
     # errors
-    "PyErr_SetString": PySpec(("value", "charptr"), "void"),
-    "PyErr_SetObject": PySpec(("value", "value"), "void"),
-    "PyErr_Format": PySpec(("value", "charptr"), "value"),
-    "PyErr_Occurred": PySpec((), "value"),
-    "PyErr_Clear": PySpec((), "void"),
-    "PyErr_NoMemory": PySpec((), "value"),
+    "PyErr_SetString": BuiltinSpec(("value", "charptr"), "void"),
+    "PyErr_SetObject": BuiltinSpec(("value", "value"), "void"),
+    "PyErr_Format": BuiltinSpec(("value", "charptr"), "value"),
+    "PyErr_Occurred": BuiltinSpec((), "value"),
+    "PyErr_Clear": BuiltinSpec((), "void"),
+    "PyErr_NoMemory": BuiltinSpec((), "value"),
     # modules
-    "PyModule_Create": PySpec(("moddef",), "value"),
-    "PyModule_AddObject": PySpec(("value", "charptr", "value"), "int"),
-    "PyModule_AddIntConstant": PySpec(("value", "charptr", "int"), "int"),
-    "PyModule_AddStringConstant": PySpec(("value", "charptr", "charptr"), "int"),
-    "PyModule_GetDict": PySpec(("value",), "value"),
-    "PyImport_AddModule": PySpec(("charptr",), "value"),
+    "PyModule_Create": BuiltinSpec(("moddef",), "value"),
+    "PyModule_AddObject": BuiltinSpec(("value", "charptr", "value"), "int"),
+    "PyModule_AddIntConstant": BuiltinSpec(("value", "charptr", "int"), "int"),
+    "PyModule_AddStringConstant": BuiltinSpec(("value", "charptr", "charptr"), "int"),
+    "PyModule_GetDict": BuiltinSpec(("value",), "value"),
+    "PyImport_AddModule": BuiltinSpec(("charptr",), "value"),
     # memory
-    "PyMem_Malloc": PySpec(("int",), "voidptr"),
-    "PyMem_Free": PySpec(("voidptr",), "void"),
+    "PyMem_Malloc": BuiltinSpec(("int",), "voidptr"),
+    "PyMem_Free": BuiltinSpec(("voidptr",), "void"),
     # GIL bookkeeping commonly seen in glue
-    "PyGILState_Ensure": PySpec((), "int"),
-    "PyGILState_Release": PySpec(("int",), "void"),
+    "PyGILState_Ensure": BuiltinSpec((), "int"),
+    "PyGILState_Release": BuiltinSpec(("int",), "void"),
 }
 
 #: Well-known runtime globals of value type, visible in every function.
@@ -258,10 +186,7 @@ GLOBAL_VALUES: tuple[str, ...] = (
 @seed_table("pyext.builtin_entries")
 def builtin_entries() -> dict[str, Entry]:
     """The function-environment entries for every C-API entry point (memoized)."""
-    return {
-        name: Entry(spec_to_cfun(spec))
-        for name, spec in RUNTIME_FUNCTIONS.items()
-    }
+    return spec_entries(RUNTIME_FUNCTIONS)
 
 
 @seed_table("pyext.global_entries")
@@ -278,10 +203,7 @@ POLYMORPHIC_BUILTINS: frozenset[str] = frozenset(RUNTIME_FUNCTIONS)
 def lowering_return_types() -> dict[str, CSrcType]:
     """Static return types for the lowering's symbol table, so calls into
     the C API land in temporaries of the right surface type (memoized)."""
-    return {
-        name: _kind_to_src(spec.result)
-        for name, spec in RUNTIME_FUNCTIONS.items()
-    }
+    return return_types(RUNTIME_FUNCTIONS)
 
 
 # -- reference semantics -------------------------------------------------------

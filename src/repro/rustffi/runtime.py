@@ -1,5 +1,5 @@
-"""Knowledge base for bindgen-style C headers, mirroring
-:mod:`repro.jni.runtime`.
+"""Knowledge base for bindgen-style C headers: the rust dialect's parse
+hints.
 
 Rust glue is checked against C sources as bindgen and cbindgen write
 them: ``stdint.h``/``stddef.h`` scalar typedefs everywhere, ``bool``

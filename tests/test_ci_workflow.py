@@ -66,6 +66,19 @@ def test_lint_job_includes_format_check(workflow):
     )
     assert "ruff check src tests benchmarks examples scripts" in runs
     assert "ruff format --check" in runs
+    (format_step,) = [
+        step["run"]
+        for step in workflow["jobs"]["lint"]["steps"]
+        if "ruff format --check" in step.get("run", "")
+    ]
+    # the dialect layer includes what pyext and jni share from cfront
+    for path in (
+        "src/repro/pyext",
+        "src/repro/jni",
+        "src/repro/cfront/idioms.py",
+        "src/repro/cfront/discipline.py",
+    ):
+        assert path in format_step.split(), path
 
 
 def test_bench_smoke_runs_engine_benchmark_and_uploads_artifact(workflow):

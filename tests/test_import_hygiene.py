@@ -4,8 +4,9 @@ Each case runs in a fresh interpreter, since this suite's own process
 has long since imported everything.  ``import repro.cli`` must load
 neither the daemon (``asyncio``, :mod:`repro.server`) nor the
 incremental engine nor any dialect; a ``check`` loads only the dialect
-it was asked for, with or without a warm host artifact; and the lazy
-package re-exports still resolve every public name.
+it was asked for, with or without a warm host artifact (and only pyext
+and jni load the machinery they share); and the lazy package re-exports
+still resolve every public name.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ DIALECT_MODULES = {
     "pyext": "repro.pyext",
     "rust": "repro.rustffi",
 }
+#: what the C-contract dialects (pyext, jni) share: no other dialect's
+#: one-shot check loads it
+CONTRACT_SHARED = ("repro.cfront.idioms", "repro.cfront.discipline")
 
 _LOADED = """
 import json, sys
@@ -90,8 +94,10 @@ def test_import_repro_loads_no_api_or_engine(tmp_path):
                 str(p) for p in (EXAMPLES / "rust" / "clean_bindings").iterdir()
             ),
         ),
+        ("pyext", sorted(str(p) for p in (EXAMPLES / "pyext").iterdir())),
+        ("jni", sorted(str(p) for p in (EXAMPLES / "jni").iterdir())),
     ],
-    ids=["ocaml", "rust"],
+    ids=["ocaml", "rust", "pyext", "jni"],
 )
 def test_check_loads_only_its_dialect(dialect, files, warm, tmp_path):
     if warm:  # warmup loads every dialect and stores this corpus's host
@@ -103,6 +109,11 @@ def test_check_loads_only_its_dialect(dialect, files, warm, tmp_path):
     others = [m for name, m in DIALECT_MODULES.items() if name != dialect]
     assert matching(modules, (*DAEMON, *others)) == []
     assert matching(modules, (DIALECT_MODULES[dialect],))
+    shared = matching(modules, CONTRACT_SHARED)
+    if dialect in ("pyext", "jni"):
+        assert shared == sorted(CONTRACT_SHARED)
+    else:
+        assert shared == []
 
 
 def test_public_names_resolve():
